@@ -16,14 +16,6 @@ import cryptompress as cm
 from cryptompress import analysis
 
 
-def demo_block(rng):
-    while True:
-        block = rng.getrandbits(30)
-        symbols = cm.block_to_symbols(block)
-        if all(symbols.count(p) >= 2 for p in cm.PRIMES):
-            return block
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, default=10, help="seeds 0..N-1")
@@ -36,7 +28,7 @@ def main():
     for seed in range(args.seeds):
         rng = random.Random(seed)
         chain = cm.KeyChain(base=cm.generate_key(rng))
-        block = demo_block(rng)
+        block = analysis.demo_block(rng)
         grid = cm.encrypt_block(block, chain)
         base = analysis.bruteforce_demo(grid, chain, block, args.restricted_bits, 0, seed)
         hard = analysis.bruteforce_demo(

@@ -27,11 +27,9 @@ from .keyschedule import (
     KeyChain,
     NibbleTable,
     XorSubkeys,
-    build_asm,
     derive_material,
     extend_key,
     generate_key,
-    parse_key,
 )
 from .cipher import (
     AsmStringCell,
@@ -42,13 +40,9 @@ from .cipher import (
     TmPairCell,
     decrypt_block,
     encrypt_block,
-    harden,
     harden_message,
     scramble,
-    sticky_round_apply,
-    sticky_round_invert,
     unscramble,
-    xor_sequence_matrix,
 )
 from .container import (
     CipherMessage,
@@ -78,11 +72,9 @@ __all__ = [
     "KeyChain",
     "NibbleTable",
     "XorSubkeys",
-    "build_asm",
     "derive_material",
     "extend_key",
     "generate_key",
-    "parse_key",
     "AsmStringCell",
     "CipherGrid",
     "EmptyCell",
@@ -91,13 +83,9 @@ __all__ = [
     "TmPairCell",
     "encrypt_block",
     "decrypt_block",
-    "harden",
     "harden_message",
     "scramble",
     "unscramble",
-    "sticky_round_apply",
-    "sticky_round_invert",
-    "xor_sequence_matrix",
     "CipherMessage",
     "read_key",
     "write_key",

@@ -11,7 +11,7 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from . import codec
-from .cipher import CipherGrid, decrypt_block, encrypt_block, harden
+from .cipher import CipherGrid, decrypt_block, encrypt_block, harden_message
 from .container import compressed_size_bits, write_cipher, CipherMessage
 from .engine import AddSubMatrix, compress_block
 from .errors import CryptompressError, InvalidKeyspace, ValueOutOfRange
@@ -76,12 +76,21 @@ class AvalancheReport:
         return asdict(self)
 
 
+def demo_block(rng: random.Random) -> int:
+    """A random block in which every prime occurs at least twice, so all
+    eight XOR subkeys matter and candidate elimination is meaningful."""
+    while True:
+        block = rng.getrandbits(codec.BLOCK_BITS)
+        symbols = codec.block_to_symbols(block)
+        if all(symbols.count(p) >= 2 for p in codec.PRIMES):
+            return block
+
+
 def _candidate_chain(base: BaseKey, low_bits: int, value: int, sticky: tuple[int, ...]) -> KeyChain:
-    """The true base key with its lowest `low_bits` bits replaced."""
-    raw = int.from_bytes(base.to_bytes(), "big")
-    mask = (1 << low_bits) - 1
-    cand = (raw & ~mask) | value
-    return KeyChain(base=BaseKey.from_bytes(cand.to_bytes(16, "big")), sticky=sticky)
+    """The true base key with its lowest `low_bits` bits replaced; with at
+    most MAX_RESTRICTED_BITS of them, only the SM key changes."""
+    sm_key = (base.sm_key >> low_bits << low_bits) | value
+    return KeyChain(base=BaseKey(base.asm_key, base.rm_key, base.tm_key, sm_key), sticky=sticky)
 
 
 def bruteforce_demo(
@@ -129,7 +138,7 @@ def bruteforce_demo(
             break
         failures += 1
         if harden_every and failures % harden_every == 0:
-            live_grid, live_chain = harden(live_grid, live_chain, rng)
+            (live_grid,), live_chain = harden_message((live_grid,), live_chain, rng)
     return AttackReport(
         keyspace_bits=restricted_bits,
         attempts_made=attempts,

@@ -6,11 +6,18 @@ clear (the scheme's own design, an acknowledged information leak) and five
 scrambled data columns holding, per target row, the horizontal and
 vertical matrix strings, the reduced outcome, the sequence list and the
 term pair.
+
+A key chain is compiled once (compile_key). Each sticky round maps a
+stored (S, R) pair to (R xor k_r, S xor k_s), so the base XOR and every
+sticky round compose into one XOR with a 32-bit mask plus a swap when the
+chain's depth is odd; the 20 swaps of the scramble compose into one slot
+table.
 """
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from functools import lru_cache
+from typing import NamedTuple, Optional, Sequence, Union
 
 from . import codec
 from .engine import (
@@ -30,7 +37,6 @@ from .errors import (
 from .keyschedule import (
     KeyChain,
     NibbleTable,
-    XorSubkeys,
     derive_material,
     extend_key,
     sticky_nibbles,
@@ -40,6 +46,7 @@ PRIMES = codec.PRIMES
 N_KINDS = 5
 N_SLOTS = 4
 N_CELLS = N_KINDS * N_SLOTS
+SM_BASE = 3 * N_SLOTS  # logical index of prime 2's sequence-list cell
 
 
 @dataclass(frozen=True)
@@ -126,102 +133,124 @@ def _check_inventory(cells: Sequence[Cell], exc: type[Exception]) -> None:
         raise exc(f"cell inventory is not a permutation of the 20 logical items: {counts}")
 
 
-def xor_sequence_matrix(sm: SequenceMatrix, subkeys: XorSubkeys) -> SequenceMatrix:
-    """XOR every event pair with its prime's two subkeys (no swap here;
-    the position swap belongs to sticky rounds). Involution."""
-    out: SequenceMatrix = {}
-    for i, p in enumerate(PRIMES):
-        ks, kr = subkeys.pair_for(i)
-        events = []
-        for s, r in sm.get(p, []):
-            if not (0 <= s <= 15 and 0 <= r <= 15):
-                raise ValueOutOfRange(f"prime {p}: ({s},{r}) does not fit a nibble")
-            events.append(SequenceEvent(s ^ ks, r ^ kr))
-        out[p] = events
+def check_rounds(rounds: int, chain: KeyChain) -> None:
+    """Raise RoundCountMismatch unless a ciphertext's sticky round count
+    matches the chain's depth."""
+    if rounds != len(chain.sticky):
+        raise RoundCountMismatch(
+            f"ciphertext carries {rounds} sticky rounds, key chain has {len(chain.sticky)}"
+        )
+
+
+class CompiledKey(NamedTuple):
+    """What a key chain contributes to every block, derived once.
+
+    `slots[i]` is where logical cell i sits in the scrambled grid. `mask`
+    holds one byte per prime (2,3,5,7 from the MSB), S nibble high: a
+    stored pair is the plain pair, swapped when `swap`, XORed with its
+    prime's byte."""
+
+    asm: AddSubMatrix
+    slots: tuple[int, ...]
+    mask: int
+    swap: bool
+
+
+def _nswap(word: int) -> int:
+    """Swap the two nibbles of every byte of a 32-bit word."""
+    return ((word >> 4) & 0x0F0F0F0F) | ((word & 0x0F0F0F0F) << 4)
+
+
+@lru_cache(maxsize=256)
+def _slot_table(table: NibbleTable) -> tuple[int, ...]:
+    """Compose the 20 fixed transpositions the placement table defines
+    (each kind hands one cell per slot to the next kind in the cycle, at
+    the slot its nibble names mod 4) into one logical -> scrambled map."""
+    at = list(range(N_CELLS))  # at[j]: logical index now at position j
+    for k in range(N_KINDS):
+        for i, n in enumerate(table.group(k)):
+            a, b = k * N_SLOTS + i, (k + 1) % N_KINDS * N_SLOTS + n % 4
+            at[a], at[b] = at[b], at[a]
+    slots = [0] * N_CELLS
+    for j, i in enumerate(at):
+        slots[i] = j
+    return tuple(slots)
+
+
+@lru_cache(maxsize=64)
+def compile_key(chain: KeyChain) -> CompiledKey:
+    """Fold the base XOR word and the sticky words, oldest first, into one
+    mask: m = base; m = nswap(m ^ w) per word."""
+    asm, table, _ = derive_material(chain.base)
+    mask = chain.base.xor_word
+    for word in chain.sticky:
+        mask = _nswap(mask ^ word)
+    return CompiledKey(asm, _slot_table(table), mask, len(chain.sticky) % 2 == 1)
+
+
+def _pair_mask(mask: int, prime_index: int) -> tuple[int, int]:
+    return (mask >> (28 - 8 * prime_index)) & 15, (mask >> (24 - 8 * prime_index)) & 15
+
+
+def seal_pairs(pairs, key: CompiledKey, prime_index: int) -> tuple[tuple[int, int], ...]:
+    """The whole SM key layer on one prime's (S, R) pairs: the base XOR
+    and every sticky round, as one swap-then-XOR."""
+    ms, mr = _pair_mask(key.mask, prime_index)
+    if key.swap:
+        return tuple((r ^ ms, s ^ mr) for s, r in pairs)
+    return tuple((s ^ ms, r ^ mr) for s, r in pairs)
+
+
+def open_pairs(pairs, key: CompiledKey, prime_index: int) -> list[SequenceEvent]:
+    """Inverse of seal_pairs; rejects values that do not fit a nibble."""
+    ms, mr = _pair_mask(key.mask, prime_index)
+    out = []
+    for a, b in pairs:
+        if not (0 <= a <= 15 and 0 <= b <= 15):
+            raise ValueOutOfRange(f"prime {PRIMES[prime_index]}: ({a},{b}) does not fit a nibble")
+        out.append(SequenceEvent(b ^ mr, a ^ ms) if key.swap else SequenceEvent(a ^ ms, b ^ mr))
     return out
 
 
-def _sticky_pairs(pairs, k_s: int, k_r: int, invert: bool):
-    if invert:
-        return tuple((b ^ k_s, a ^ k_r) for a, b in pairs)
+def sticky_round(pairs, k_s: int, k_r: int) -> tuple[tuple[int, int], ...]:
+    """One more hardening round on stored pairs: XOR both halves with the
+    prime's sticky nibbles, then swap them."""
     return tuple((r ^ k_r, s ^ k_s) for s, r in pairs)
 
 
-def sticky_round_apply(sm: SequenceMatrix, sticky: int) -> SequenceMatrix:
-    """One hardening round: XOR both halves of every event with the sticky
-    subkeys of its prime, then swap the halves."""
-    return _sticky_round(sm, sticky, invert=False)
-
-
-def sticky_round_invert(sm: SequenceMatrix, sticky: int) -> SequenceMatrix:
-    """Exact inverse of sticky_round_apply: unswap, then XOR."""
-    return _sticky_round(sm, sticky, invert=True)
-
-
-def _sticky_round(sm: SequenceMatrix, sticky: int, invert: bool) -> SequenceMatrix:
-    ks = sticky_nibbles(sticky)
-    out: SequenceMatrix = {}
-    for i, p in enumerate(PRIMES):
-        for a, b in sm.get(p, []):
-            if not (0 <= a <= 15 and 0 <= b <= 15):
-                raise ValueOutOfRange(f"prime {p}: ({a},{b}) does not fit a nibble")
-        out[p] = [
-            SequenceEvent(*pair)
-            for pair in _sticky_pairs(sm.get(p, []), ks[2 * i], ks[2 * i + 1], invert)
-        ]
-    return out
-
-
-def _swap_schedule(table: NibbleTable) -> list[tuple[int, int]]:
-    """The 20 fixed transpositions the placement table defines: each kind
-    hands one cell per slot to the next kind in the cycle, at the slot its
-    nibble names (mod 4)."""
-    schedule = []
-    for k in range(N_KINDS):
-        group = table.group(k)
-        for i in range(N_SLOTS):
-            j = group[i] % 4
-            schedule.append((k * N_SLOTS + i, ((k + 1) % N_KINDS) * N_SLOTS + j))
-    return schedule
-
-
-def scramble(cells: Sequence[Cell], table: NibbleTable) -> tuple[Cell, ...]:
-    """Permute the 20 logical cells with the keyed swap schedule."""
+def scramble(cells: Sequence[Cell], slots: Sequence[int]) -> tuple[Cell, ...]:
+    """Scatter the 20 logical cells to their keyed slots."""
     _check_inventory(cells, IncompleteGrid)
-    out = list(cells)
-    for a, b in _swap_schedule(table):
-        out[a], out[b] = out[b], out[a]
+    out: list[Optional[Cell]] = [None] * N_CELLS
+    for cell, j in zip(cells, slots):
+        out[j] = cell
     return tuple(out)
 
 
-def unscramble(cells: Sequence[Cell], table: NibbleTable) -> tuple[Cell, ...]:
-    """Replay the swap schedule backwards; two-sided inverse of scramble."""
+def unscramble(cells: Sequence[Cell], slots: Sequence[int]) -> tuple[Cell, ...]:
+    """Gather the logical layout back; two-sided inverse of scramble."""
     _check_inventory(cells, IncompleteGrid)
-    out = list(cells)
-    for a, b in reversed(_swap_schedule(table)):
-        out[a], out[b] = out[b], out[a]
-    return tuple(out)
+    return tuple(cells[j] for j in slots)
 
 
-def _asm_cells(asm: AddSubMatrix) -> tuple[list[AsmStringCell], list[AsmStringCell]]:
-    horizontal = [AsmStringCell(x_pos=i, sign_mask=asm.orders[i]) for i in range(4)]
-    vertical = []
-    for c in range(4):
-        mask = 0
-        for t in range(4):
-            mask |= ((asm.orders[t] >> (3 - c)) & 1) << (3 - t)
-        vertical.append(AsmStringCell(x_pos=c, sign_mask=mask))
-    return horizontal, vertical
+@lru_cache(maxsize=64)
+def _asm_cells(orders: tuple[int, int, int, int]) -> tuple[AsmStringCell, ...]:
+    """The 8 matrix-string cells: the order nibbles as rows, then the
+    transposed bit matrix as columns."""
+    columns = [sum(((orders[t] >> (3 - c)) & 1) << (3 - t) for t in range(4)) for c in range(4)]
+    return tuple(AsmStringCell(x_pos=i % 4, sign_mask=m) for i, m in enumerate(orders + tuple(columns)))
 
 
-def data_cells(cb: CompressedBlock) -> tuple[Cell, ...]:
-    """The 12 data cells (rm, sm, tm) a compressed block contributes."""
+def data_cells(cb: CompressedBlock, key: Optional[CompiledKey] = None) -> tuple[Cell, ...]:
+    """The 12 data cells (rm, sm, tm) a compressed block contributes, the
+    sequence lists sealed under `key` when one is given."""
     cells: list[Cell] = []
     for p in PRIMES:
         v = cb.rm.get(p)
         cells.append(EmptyCell() if v is None else RmOutcomeCell(v))
-    for p in PRIMES:
-        cells.append(SmListCell(tuple((s, r) for s, r in cb.sm.get(p, []))))
+    for i, p in enumerate(PRIMES):
+        pairs = cb.sm.get(p, [])
+        cells.append(SmListCell(tuple(pairs) if key is None else seal_pairs(pairs, key, i)))
     for slot in cb.tm:
         if slot is None:
             cells.append(EmptyCell())
@@ -231,13 +260,12 @@ def data_cells(cb: CompressedBlock) -> tuple[Cell, ...]:
     return tuple(cells)
 
 
-def logical_cells(asm: AddSubMatrix, cb: CompressedBlock) -> tuple[Cell, ...]:
+def logical_cells(key: CompiledKey, cb: CompressedBlock) -> tuple[Cell, ...]:
     """Lay the 20 items out unscrambled, kind-major (asmh, asmv, rm, sm, tm)."""
-    horizontal, vertical = _asm_cells(asm)
-    return tuple(horizontal) + tuple(vertical) + data_cells(cb)
+    return _asm_cells(key.asm.orders) + data_cells(cb, key)
 
 
-def _split_logical(cells: Sequence[Cell]) -> CompressedBlock:
+def _split_logical(cells: Sequence[Cell], key: CompiledKey) -> CompressedBlock:
     """Inverse of logical_cells for the decrypt path; raises
     IntegrityFailure when a slot holds a cell of the wrong kind.
 
@@ -258,7 +286,6 @@ def _split_logical(cells: Sequence[Cell]) -> CompressedBlock:
                     f"matrix-string cell at slot {i} marks position {c.x_pos}"
                 )
     rm = {}
-    sm: SequenceMatrix = {}
     for i, p in enumerate(PRIMES):
         c = cells[2 * N_SLOTS + i]
         if isinstance(c, RmOutcomeCell):
@@ -267,10 +294,9 @@ def _split_logical(cells: Sequence[Cell]) -> CompressedBlock:
             rm[p] = None
         else:
             raise IntegrityFailure(f"outcome slot for prime {p} holds {type(c).__name__}")
-        s = cells[3 * N_SLOTS + i]
+        s = cells[SM_BASE + i]
         if not isinstance(s, SmListCell):
             raise IntegrityFailure(f"sequence slot for prime {p} holds {type(s).__name__}")
-        sm[p] = [SequenceEvent(a, b) for a, b in s.pairs]
     tm: list[Optional[tuple[int, int]]] = []
     for i in range(N_SLOTS):
         c = cells[4 * N_SLOTS + i]
@@ -280,35 +306,17 @@ def _split_logical(cells: Sequence[Cell]) -> CompressedBlock:
             tm.append(None)
         else:
             raise IntegrityFailure(f"term slot {i} holds {type(c).__name__}")
+    sm: SequenceMatrix = {p: open_pairs(cells[SM_BASE + i].pairs, key, i) for i, p in enumerate(PRIMES)}
     return CompressedBlock(rm=rm, sm=sm, tm=tuple(tm))
-
-
-def _sm_cells_transformed(cells: Sequence[Cell], sticky: int) -> tuple[Cell, ...]:
-    """Apply one sticky round to the four sequence cells of an unscrambled
-    layout, leaving every other cell untouched."""
-    ks = sticky_nibbles(sticky)
-    out = list(cells)
-    for i in range(N_SLOTS):
-        idx = 3 * N_SLOTS + i
-        c = out[idx]
-        if not isinstance(c, SmListCell):
-            raise IntegrityFailure(f"sequence slot for prime {PRIMES[i]} holds {type(c).__name__}")
-        out[idx] = SmListCell(_sticky_pairs(c.pairs, ks[2 * i], ks[2 * i + 1], invert=False))
-    return tuple(out)
 
 
 def encrypt_block(block: int, chain: KeyChain) -> CipherGrid:
     """Encrypt one 30-bit block under the full key chain."""
-    asm, table, subkeys = derive_material(chain.base)
-    symbols = codec.block_to_symbols(block)
-    cb = compress_block(symbols, asm)
-    sm = xor_sequence_matrix(cb.sm, subkeys)
-    for word in chain.sticky:
-        sm = sticky_round_apply(sm, word)
-    cells = logical_cells(asm, CompressedBlock(rm=cb.rm, sm=sm, tm=cb.tm))
+    key = compile_key(chain)
+    cb = compress_block(codec.block_to_symbols(block), key.asm)
     return CipherGrid(
         orders=chain.base.orders,
-        cells=scramble(cells, table),
+        cells=scramble(logical_cells(key, cb), key.slots),
         sticky_rounds=len(chain.sticky),
     )
 
@@ -317,19 +325,10 @@ def decrypt_block(grid: CipherGrid, chain: KeyChain) -> int:
     """Invert encrypt_block. Raises RoundCountMismatch when the chain's
     sticky depth disagrees with the grid, IntegrityFailure when the
     reconstruction checks fail (wrong key or tampered ciphertext)."""
-    if grid.sticky_rounds != len(chain.sticky):
-        raise RoundCountMismatch(
-            f"grid carries {grid.sticky_rounds} sticky rounds, chain has {len(chain.sticky)}"
-        )
-    asm, table, subkeys = derive_material(chain.base)
-    cells = unscramble(grid.cells, table)
-    cb = _split_logical(cells)
-    sm = cb.sm
-    for word in reversed(chain.sticky):
-        sm = sticky_round_invert(sm, word)
-    sm = xor_sequence_matrix(sm, subkeys)
-    symbols = decompress_block(CompressedBlock(rm=cb.rm, sm=sm, tm=cb.tm), asm)
-    return codec.symbols_to_block(symbols)
+    check_rounds(grid.sticky_rounds, chain)
+    key = compile_key(chain)
+    cb = _split_logical(unscramble(grid.cells, key.slots), key)
+    return codec.symbols_to_block(decompress_block(cb, key.asm))
 
 
 def harden_message(
@@ -338,34 +337,26 @@ def harden_message(
     """Respond to a failed attempt: grow the chain by one 32-bit sticky
     key and rewrite the sequence portion of every block's ciphertext.
 
-    Cell placement is untouched (the scramble is replayed with the same
-    table); only sequence-list payloads change.
+    Cell placement is untouched: the round is applied to the four
+    sequence-list cells where they sit in the scrambled grid.
     """
     for grid in grids:
-        if grid.sticky_rounds != len(chain.sticky):
-            raise RoundCountMismatch(
-                f"grid carries {grid.sticky_rounds} sticky rounds, chain has {len(chain.sticky)}"
-            )
+        check_rounds(grid.sticky_rounds, chain)
     new_chain = extend_key(chain, rng)
-    word = new_chain.sticky[-1]
-    _, table, _ = derive_material(chain.base)
+    ks = sticky_nibbles(new_chain.sticky[-1])
+    sm_slots = compile_key(chain).slots[SM_BASE : SM_BASE + N_SLOTS]
     out = []
     for grid in grids:
-        cells = unscramble(grid.cells, table)
-        cells = _sm_cells_transformed(cells, word)
+        _check_inventory(grid.cells, IncompleteGrid)
+        cells = list(grid.cells)
+        for i, j in enumerate(sm_slots):
+            c = cells[j]
+            if not isinstance(c, SmListCell):
+                raise IntegrityFailure(
+                    f"sequence slot for prime {PRIMES[i]} holds {type(c).__name__}"
+                )
+            cells[j] = SmListCell(sticky_round(c.pairs, ks[2 * i], ks[2 * i + 1]))
         out.append(
-            CipherGrid(
-                orders=grid.orders,
-                cells=scramble(cells, table),
-                sticky_rounds=grid.sticky_rounds + 1,
-            )
+            CipherGrid(orders=grid.orders, cells=tuple(cells), sticky_rounds=grid.sticky_rounds + 1)
         )
     return tuple(out), new_chain
-
-
-def harden(
-    grid: CipherGrid, chain: KeyChain, rng: random.Random | None = None
-) -> tuple[CipherGrid, KeyChain]:
-    """harden_message for a single block."""
-    grids, new_chain = harden_message((grid,), chain, rng)
-    return grids[0], new_chain

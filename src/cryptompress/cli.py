@@ -13,12 +13,15 @@ tampering, round-count mismatch), 3 I/O or format error.
 """
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import os
 import random
+import shutil
 import sys
+import tempfile
 from typing import Optional, Sequence
 
 from . import analysis, codec, container
@@ -29,6 +32,7 @@ from .cipher import (
     RmOutcomeCell,
     SmListCell,
     TmPairCell,
+    check_rounds,
     decrypt_block,
     encrypt_block,
     harden_message,
@@ -67,16 +71,39 @@ def _write_file(path: str, data: bytes) -> None:
 
 
 def _replace_file(path: str, data: bytes) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    """Replace `path` atomically through a unique temp file beside it,
+    removed on failure; the directory is fsynced so the rename is durable."""
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        shutil.copymode(path, tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+    dir_fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def _load_chain(path: str) -> KeyChain:
     return container.read_key(_read_file(path))
+
+
+def _read_cipher_for(path: str, chain: KeyChain) -> container.CipherMessage:
+    """Parse a cipher file once its header's sticky-round byte matches the
+    chain: a stale key is refused before any block is parsed."""
+    data = _read_file(path)
+    rounds, _, _ = container.read_header(data)
+    check_rounds(rounds, chain)
+    return container.read_cipher(data)
 
 
 def _parse_block_arg(text: str) -> int:
@@ -124,11 +151,7 @@ def _cmd_encrypt(args) -> int:
 
 def _cmd_decrypt(args) -> int:
     chain = _load_chain(args.key)
-    msg = container.read_cipher(_read_file(args.infile))
-    if msg.sticky_rounds != len(chain.sticky):
-        raise RoundCountMismatch(
-            f"cipher file has {msg.sticky_rounds} sticky rounds, key file has {len(chain.sticky)}"
-        )
+    msg = _read_cipher_for(args.infile, chain)
     blocks = tuple(decrypt_block(g, chain) for g in msg.grids)
     payload = codec.reassemble_message(codec.PaddedMessage(blocks=blocks, tail_bits=msg.tail_bits))
     _write_file(args.out, payload)
@@ -137,11 +160,7 @@ def _cmd_decrypt(args) -> int:
 
 def _cmd_harden(args) -> int:
     chain = _load_chain(args.key)
-    msg = container.read_cipher(_read_file(args.cipher))
-    if msg.sticky_rounds != len(chain.sticky):
-        raise RoundCountMismatch(
-            f"cipher file has {msg.sticky_rounds} sticky rounds, key file has {len(chain.sticky)}"
-        )
+    msg = _read_cipher_for(args.cipher, chain)
     grids, new_chain = harden_message(msg.grids, chain)
     # Key first: once the new sticky word is durable the rewritten cipher
     # is always recoverable; the reverse order could strand the cipher.
@@ -261,20 +280,10 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _demo_block(rng: random.Random) -> int:
-    # a block where every prime occurs at least twice, so all eight xor
-    # subkeys matter and candidate elimination is meaningful
-    while True:
-        block = rng.getrandbits(codec.BLOCK_BITS)
-        symbols = codec.block_to_symbols(block)
-        if all(symbols.count(p) >= 2 for p in PRIMES):
-            return block
-
-
 def _cmd_analyze_bruteforce(args) -> int:
     rng = random.Random(args.seed)
     chain = KeyChain(base=generate_key(rng))
-    block = _demo_block(rng)
+    block = analysis.demo_block(rng)
     grid = encrypt_block(block, chain)
     baseline = analysis.bruteforce_demo(grid, chain, block, args.restricted_bits, 0, args.seed)
     hardened = analysis.bruteforce_demo(

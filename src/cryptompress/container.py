@@ -180,7 +180,13 @@ def write_cipher(msg: CipherMessage) -> bytes:
     return bytes(out)
 
 
-def read_cipher(data: bytes) -> CipherMessage:
+HEADER_BYTES = 11
+
+
+def read_header(data: bytes) -> tuple[int, int, int]:
+    """Parse and check the fixed-size CMC1 header alone: (sticky rounds,
+    block count, tail bits). A round-count mismatch can be decided from it
+    before any block is parsed."""
     r = _Reader(data)
     magic = r.take(4)
     if magic != CIPHER_MAGIC:
@@ -195,6 +201,12 @@ def read_cipher(data: bytes) -> CipherMessage:
     tail_bits = r.byte()
     if not 1 <= tail_bits <= 30:
         raise MalformedCell(f"tail_bits must be in [1,30], got {tail_bits}")
+    return rounds, block_count, tail_bits
+
+
+def read_cipher(data: bytes) -> CipherMessage:
+    rounds, block_count, tail_bits = read_header(data)
+    r = _Reader(data, HEADER_BYTES)
     grids = []
     for _ in range(block_count):
         ob = r.take(2)

@@ -50,9 +50,6 @@ class XorSubkeys:
 
     values: tuple[int, int, int, int, int, int, int, int]
 
-    def pair_for(self, prime_index: int) -> tuple[int, int]:
-        return self.values[2 * prime_index], self.values[2 * prime_index + 1]
-
 
 @dataclass(frozen=True)
 class BaseKey:
@@ -101,19 +98,9 @@ class KeyChain:
         return 8 * KEY_BYTES + STICKY_BITS * len(self.sticky)
 
 
-def build_asm(orders: tuple[int, int, int, int]) -> AddSubMatrix:
-    """Build the delta lookup from the four order nibbles."""
-    return AddSubMatrix(orders=tuple(orders))
-
-
-def parse_key(raw: bytes) -> tuple[AddSubMatrix, NibbleTable, XorSubkeys]:
-    """Split a 128-bit key into its three derived working structures."""
-    base = BaseKey.from_bytes(raw)
-    return derive_material(base)
-
-
 def derive_material(base: BaseKey) -> tuple[AddSubMatrix, NibbleTable, XorSubkeys]:
-    asm = build_asm(base.orders)
+    """Split a base key into its three working structures."""
+    asm = AddSubMatrix(orders=base.orders)
     table = NibbleTable(
         asmh=_nibbles16((base.asm_key >> 16) & 0xFFFF),
         asmv=_nibbles16(base.asm_key & 0xFFFF),
@@ -121,8 +108,7 @@ def derive_material(base: BaseKey) -> tuple[AddSubMatrix, NibbleTable, XorSubkey
         sm=_nibbles16(base.sm_key >> 32),
         tm=_nibbles16(base.tm_key),
     )
-    w = base.xor_word
-    subkeys = XorSubkeys(values=tuple((w >> (28 - 4 * i)) & 15 for i in range(8)))
+    subkeys = XorSubkeys(values=sticky_nibbles(base.xor_word))
     return asm, table, subkeys
 
 

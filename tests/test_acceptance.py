@@ -13,14 +13,13 @@ import pytest
 
 import cryptompress as cm
 from cryptompress import analysis, container
-from cryptompress.cipher import SmListCell, scramble, unscramble
+from cryptompress.cipher import SmListCell, compile_key, scramble, seal_pairs, unscramble
 from cryptompress.cli import main
 from cryptompress.container import _encode_cell
-from cryptompress.engine import SequenceEvent, compress_block
+from cryptompress.engine import AddSubMatrix, SequenceEvent, compress_block
 from cryptompress.errors import ContainerError, IntegrityFailure
 from cryptompress.keyschedule import (
     KeyChain,
-    build_asm,
     derive_material,
     extend_key,
     generate_key,
@@ -35,7 +34,7 @@ def ok(n, text):
 
 def test_c01_golden_asm():
     start = time.perf_counter()
-    asm = build_asm((0x2, 0x3, 0x5, 0x7))
+    asm = AddSubMatrix((0x2, 0x3, 0x5, 0x7))
     want = {
         2: {3: -1, 5: 1, 7: -1},
         3: {2: -1, 5: 1, 7: 1},
@@ -54,7 +53,7 @@ def test_c01_golden_asm():
 
 
 def test_c02_golden_traversal_and_trace(golden, golden_chain, golden_block, tmp_path, capsys):
-    asm = build_asm(golden_chain.base.orders)
+    asm = AddSubMatrix(golden_chain.base.orders)
     symbols = cm.block_to_symbols(golden_block)
     start = time.perf_counter()
     cb = compress_block(symbols, asm)
@@ -86,7 +85,8 @@ def test_c03_golden_xor_layer(golden, golden_chain):
     _, _, subkeys = derive_material(golden_chain.base)
     assert subkeys.values == (1, 2, 3, 4, 5, 6, 7, 8)
     sm = {p: [SequenceEvent(*e) for e in golden["sm"][str(p)]] for p in PRIMES}
-    out = cm.xor_sequence_matrix(sm, subkeys)
+    key = compile_key(golden_chain)
+    out = {p: seal_pairs(sm[p], key, i) for i, p in enumerate(PRIMES)}
     assert [tuple(e) for e in out[2]] == [(0, 3)]
     assert [tuple(e) for e in out[3]] == [(0, 5)]
     assert [tuple(e) for e in out[5]] == [(4, 4), (13, 7), (9, 7)]
@@ -141,7 +141,7 @@ def test_c05_conservation_and_closed_form():
     rng = random.Random(20260402)
     for _ in range(10000):
         symbols = list(cm.block_to_symbols(rng.getrandbits(30)))
-        asm = build_asm(tuple(rng.randrange(16) for _ in range(4)))
+        asm = AddSubMatrix(tuple(rng.randrange(16) for _ in range(4)))
         cb = compress_block(symbols, asm)
         consumed = sum(
             1 + sum(e.redundant for e in cb.sm[p]) for p in PRIMES if cb.rm[p] is not None
@@ -158,7 +158,7 @@ def test_c06_key_growth(golden_chain):
     chain = golden_chain
     grid = cm.encrypt_block(0x2AF738F9, chain)
     for k in range(1, 9):
-        grid, chain = cm.harden(grid, chain, rng)
+        (grid,), chain = cm.harden_message((grid,), chain, rng)
         data = container.write_key(chain)
         assert len(data) == 21 + 4 * k
         assert chain.key_bits == 128 + 32 * k
@@ -168,7 +168,7 @@ def test_c06_key_growth(golden_chain):
 def test_c07_hardening_locality(golden_chain, golden_block):
     rng = random.Random(20260404)
     grid = cm.encrypt_block(golden_block, golden_chain)
-    hardened, _ = cm.harden(grid, golden_chain, rng)
+    (hardened,), _ = cm.harden_message((grid,), golden_chain, rng)
     changed = 0
     for before, after in zip(grid.cells, hardened.cells):
         if _encode_cell(before) != _encode_cell(after):
@@ -231,10 +231,10 @@ def test_c09_scramble_sanity(golden):
     rng = random.Random(20260405)
     for _ in range(1000):
         chain = KeyChain(base=generate_key(rng))
-        _, table, _ = derive_material(chain.base)
+        slots = compile_key(chain).slots
         grid = cm.encrypt_block(rng.getrandbits(30), chain)
-        cells = unscramble(grid.cells, table)
-        assert scramble(cells, table) == grid.cells
+        cells = unscramble(grid.cells, slots)
+        assert scramble(cells, slots) == grid.cells
         assert sorted(map(repr, cells)) == sorted(map(repr, grid.cells))
     # the published encrypted-data table is internally inconsistent; its
     # deviations are pinned as fixture annotations, not silently corrected
@@ -253,11 +253,7 @@ def test_c10_bruteforce_paired_seeds():
     for seed in range(10):
         rng = random.Random(seed)
         chain = KeyChain(base=generate_key(rng))
-        while True:
-            block = rng.getrandbits(30)
-            symbols = cm.block_to_symbols(block)
-            if all(symbols.count(p) >= 2 for p in PRIMES):
-                break
+        block = analysis.demo_block(rng)
         grid = cm.encrypt_block(block, chain)
         base = analysis.bruteforce_demo(grid, chain, block, 16, 0, seed)
         hard = analysis.bruteforce_demo(grid, chain, block, 16, 500, seed)

@@ -10,21 +10,22 @@ from cryptompress.cipher import (
     RmOutcomeCell,
     SmListCell,
     TmPairCell,
+    compile_key,
     logical_cells,
+    open_pairs,
     scramble,
-    sticky_round_apply,
-    sticky_round_invert,
+    seal_pairs,
+    sticky_round,
     unscramble,
-    xor_sequence_matrix,
 )
-from cryptompress.engine import CompressedBlock, SequenceEvent, compress_block
+from cryptompress.engine import AddSubMatrix, SequenceEvent, compress_block
 from cryptompress.errors import (
     IncompleteGrid,
     IntegrityFailure,
     RoundCountMismatch,
     ValueOutOfRange,
 )
-from cryptompress.keyschedule import KeyChain, XorSubkeys, derive_material, extend_key, generate_key
+from cryptompress.keyschedule import BaseKey, KeyChain, extend_key, generate_key, sticky_nibbles
 
 PRIMES = (2, 3, 5, 7)
 st_orders = st.tuples(*[st.integers(0, 15)] * 4)
@@ -49,54 +50,101 @@ def random_sm(rng):
     return sm
 
 
+def chain_with_xor_word(word, sticky=(), rng=None):
+    """A chain whose base XOR word is `word`; other base bits random."""
+    raw = (rng or random.Random(0)).randbytes(12) + word.to_bytes(4, "big")
+    return KeyChain(base=BaseKey.from_bytes(raw), sticky=tuple(sticky))
+
+
+def seal(sm, chain):
+    """The compiled SM layer over a whole sequence matrix."""
+    key = compile_key(chain)
+    return {p: [SequenceEvent(*e) for e in seal_pairs(sm[p], key, i)] for i, p in enumerate(PRIMES)}
+
+
+def unseal(sm, chain):
+    key = compile_key(chain)
+    return {p: open_pairs(sm[p], key, i) for i, p in enumerate(PRIMES)}
+
+
+# Step-by-step reference for the SM layer: the base XOR, then one
+# XOR-and-swap round per sticky word. The cipher folds all of these into
+# one mask; this oracle keeps the unfolded definition.
+def reference_xor(sm, word):
+    nib = sticky_nibbles(word)
+    return {p: [SequenceEvent(s ^ nib[2 * i], r ^ nib[2 * i + 1]) for s, r in sm[p]] for i, p in enumerate(PRIMES)}
+
+
+def reference_round(sm, word):
+    nib = sticky_nibbles(word)
+    return {p: [SequenceEvent(r ^ nib[2 * i + 1], s ^ nib[2 * i]) for s, r in sm[p]] for i, p in enumerate(PRIMES)}
+
+
+def reference_sm_layer(sm, chain):
+    sm = reference_xor(sm, chain.base.xor_word)
+    for word in chain.sticky:
+        sm = reference_round(sm, word)
+    return sm
+
+
 def test_xor_layer_golden(golden, golden_chain):
-    _, _, subkeys = derive_material(golden_chain.base)
     sm = {p: [SequenceEvent(*e) for e in golden["sm"][str(p)]] for p in PRIMES}
     want = {p: [tuple(e) for e in golden["sm_xored"][str(p)]] for p in PRIMES}
-    out = xor_sequence_matrix(sm, subkeys)
+    out = seal(sm, golden_chain)
     assert {p: [tuple(e) for e in v] for p, v in out.items()} == want
 
 
 def test_xor_layer_zero_subkeys_is_identity():
     sm = {2: [SequenceEvent(1, 1)], 3: [], 5: [SequenceEvent(3, 2)], 7: []}
-    out = xor_sequence_matrix(sm, XorSubkeys(values=(0,) * 8))
+    out = seal(sm, chain_with_xor_word(0))
     assert out == sm
 
 
 def test_xor_layer_rejects_oversized_values():
     with pytest.raises(ValueOutOfRange):
-        xor_sequence_matrix({2: [SequenceEvent(16, 1)], 3: [], 5: [], 7: []},
-                            XorSubkeys(values=(0,) * 8))
+        unseal({2: [SequenceEvent(16, 1)], 3: [], 5: [], 7: []}, chain_with_xor_word(0))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.randoms(use_true_random=False))
 def test_xor_layer_involution(word, pyrandom):
-    subkeys = XorSubkeys(values=tuple((word >> (28 - 4 * i)) & 15 for i in range(8)))
+    chain = chain_with_xor_word(word, rng=pyrandom)
     sm = random_sm(pyrandom)
-    assert xor_sequence_matrix(xor_sequence_matrix(sm, subkeys), subkeys) == sm
+    assert seal(seal(sm, chain), chain) == sm
 
 
 def test_sticky_round_worked_nibbles():
     # (1,1) under k1=0xA, k2=0xB: xor halves then swap
     sm = {2: [SequenceEvent(1, 1)], 3: [], 5: [], 7: []}
-    out = sticky_round_apply(sm, 0xAB000000)
+    out = seal(sm, chain_with_xor_word(0, sticky=(0xAB000000,)))
     assert out[2] == [SequenceEvent(1 ^ 0xB, 1 ^ 0xA)]
     assert out[2] == [SequenceEvent(10, 11)]
+    assert sticky_round(((1, 1),), 0xA, 0xB) == ((10, 11),)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.randoms(use_true_random=False))
 def test_sticky_round_trip(word, pyrandom):
+    chain = chain_with_xor_word(pyrandom.getrandbits(32), sticky=(word,), rng=pyrandom)
     sm = random_sm(pyrandom)
-    assert sticky_round_invert(sticky_round_apply(sm, word), word) == sm
+    assert unseal(seal(sm, chain), chain) == sm
 
 
 def test_sticky_double_apply_is_not_identity():
     sm = {2: [SequenceEvent(3, 5)], 3: [], 5: [], 7: []}
     word = 0x12000000  # k1 != k2 for prime 2
-    twice = sticky_round_apply(sticky_round_apply(sm, word), word)
+    twice = seal(sm, chain_with_xor_word(0, sticky=(word, word)))
     assert twice != sm
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 12))
+def test_folded_mask_matches_step_by_step_rounds(pyrandom, depth):
+    chain = random_chain(pyrandom, depth)
+    sm = random_sm(pyrandom)
+    want = reference_sm_layer(sm, chain)
+    assert seal(sm, chain) == want
+    assert unseal(want, chain) == sm
 
 
 def grid_items(rng):
@@ -122,24 +170,23 @@ def grid_items(rng):
 def test_scramble_unscramble_identity_1000_random():
     rng = random.Random(11)
     for _ in range(1000):
-        _, table, _ = derive_material(generate_key(rng))
+        slots = compile_key(KeyChain(base=generate_key(rng))).slots
         cells = grid_items(rng)
-        scrambled = scramble(cells, table)
-        assert unscramble(scrambled, table) == cells
+        scrambled = scramble(cells, slots)
+        assert unscramble(scrambled, slots) == cells
         assert sorted(map(repr, scrambled)) == sorted(map(repr, cells))
 
 
 def test_scramble_golden_placement(golden, golden_chain, golden_block):
     """The hand-replayed 20-swap placement for the worked-example key."""
-    asm, table, subkeys = derive_material(golden_chain.base)
-    cb = compress_block(cm.block_to_symbols(golden_block), asm)
-    xored = xor_sequence_matrix(cb.sm, subkeys)
-    cells = logical_cells(asm, CompressedBlock(rm=cb.rm, sm=xored, tm=cb.tm))
+    key = compile_key(golden_chain)
+    cb = compress_block(cm.block_to_symbols(golden_block), key.asm)
+    cells = logical_cells(key, cb)
     # label by object identity: equal-looking cells (H3/V3 here) must not
     # be confused, the schedule moves instances
     names = [f"{kind}{p}" for kind in "HVRST" for p in PRIMES]
     label = {id(cell): name for cell, name in zip(cells, names)}
-    scrambled = scramble(cells, table)
+    scrambled = scramble(cells, key.slots)
     want = golden["scramble_placement"]
     for k, kind in enumerate(("asmh", "asmv", "rm", "sm", "tm")):
         got = [label[id(scrambled[k * 4 + i])] for i in range(4)]
@@ -148,19 +195,18 @@ def test_scramble_golden_placement(golden, golden_chain, golden_block):
 
 def test_scramble_rejects_bad_inventory():
     rng = random.Random(12)
-    _, table, _ = derive_material(generate_key(rng))
+    slots = compile_key(KeyChain(base=generate_key(rng))).slots
     cells = list(grid_items(rng))
     cells[0] = EmptyCell()  # now 7 matrix strings and an extra empty
     with pytest.raises(IncompleteGrid):
-        scramble(tuple(cells), table)
+        scramble(tuple(cells), slots)
 
 
 def test_encrypt_block_unscrambles_to_published_tables(golden, golden_chain, golden_block):
-    asm, table, subkeys = derive_material(golden_chain.base)
     grid = cm.encrypt_block(golden_block, golden_chain)
     assert grid.orders == tuple(golden["orders"])
     assert grid.sticky_rounds == 0
-    cells = unscramble(grid.cells, table)
+    cells = unscramble(grid.cells, compile_key(golden_chain).slots)
     # rm column
     for i, p in enumerate(PRIMES):
         assert cells[8 + i] == RmOutcomeCell(golden["rm"][str(p)])
@@ -214,7 +260,7 @@ def test_decrypt_round_count_mismatch(golden_chain, golden_block):
 
 def test_harden_changes_only_sequence_cells(golden_chain, golden_block):
     grid = cm.encrypt_block(golden_block, golden_chain)
-    hardened, chain2 = cm.harden(grid, golden_chain, random.Random(2))
+    (hardened,), chain2 = cm.harden_message((grid,), golden_chain, random.Random(2))
     assert chain2.key_bits == 160
     assert hardened.sticky_rounds == 1
     assert hardened.orders == grid.orders
@@ -230,16 +276,16 @@ def test_harden_repeatedly_then_decrypt(golden_chain, golden_block):
     grid = cm.encrypt_block(golden_block, golden_chain)
     chain = golden_chain
     for k in range(1, 6):
-        grid, chain = cm.harden(grid, chain, rng)
+        (grid,), chain = cm.harden_message((grid,), chain, rng)
         assert chain.key_bits == 128 + 32 * k
         assert cm.decrypt_block(grid, chain) == golden_block
 
 
 def test_harden_with_stale_chain_raises(golden_chain, golden_block):
     grid = cm.encrypt_block(golden_block, golden_chain)
-    grid2, _ = cm.harden(grid, golden_chain, random.Random(4))
+    (grid2,), _ = cm.harden_message((grid,), golden_chain, random.Random(4))
     with pytest.raises(RoundCountMismatch):
-        cm.harden(grid2, golden_chain, random.Random(5))
+        cm.harden_message((grid2,), golden_chain, random.Random(5))
     with pytest.raises(RoundCountMismatch):
         cm.decrypt_block(grid2, golden_chain)
 
@@ -249,7 +295,7 @@ def test_sm_values_stay_nibbles_after_many_rounds(golden_chain, golden_block):
     grid = cm.encrypt_block(golden_block, golden_chain)
     chain = golden_chain
     for _ in range(8):
-        grid, chain = cm.harden(grid, chain, rng)
+        (grid,), chain = cm.harden_message((grid,), chain, rng)
         for cell in grid.cells:
             if isinstance(cell, SmListCell):
                 for s, r in cell.pairs:
@@ -270,7 +316,7 @@ def _corrupt_order_nibble(base, rng):
     """One order nibble replaced; diagonal-only changes are resampled
     since they leave the delta table untouched by construction."""
     raw = base.to_bytes()
-    before = cm.build_asm(base.orders)
+    before = AddSubMatrix(base.orders)
     while True:
         i = rng.randrange(4)
         new = rng.randrange(16)
@@ -282,7 +328,7 @@ def _corrupt_order_nibble(base, rng):
         if bytes(mutated) == raw:
             continue
         candidate = cm.BaseKey.from_bytes(bytes(mutated))
-        after = cm.build_asm(candidate.orders)
+        after = AddSubMatrix(candidate.orders)
         if any(
             before.delta(t, c) != after.delta(t, c)
             for t in PRIMES

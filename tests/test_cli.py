@@ -184,3 +184,40 @@ def test_analyze_avalanche_json(capsys, tmp_path, golden_key_file):
     payload = json.loads(capsys.readouterr().out)
     assert payload["samples"] == 100
     assert payload["min"] <= payload["mean"] <= payload["max"]
+
+
+def test_stale_key_refused_from_header_before_any_block_is_parsed(tmp_path, golden_key_file, monkeypatch):
+    plain = tmp_path / "p.bin"
+    plain.write_bytes(b"sixteen byte msg")
+    cipher = tmp_path / "c.cmc"
+    assert main(["encrypt", "--key", golden_key_file, "--in", str(plain), "--out", str(cipher)]) == 0
+    stale = tmp_path / "stale.cmk"
+    stale.write_bytes(open(golden_key_file, "rb").read())
+    assert main(["harden", "--key", golden_key_file, "--cipher", str(cipher)]) == 0
+
+    def no_block_parsing(*args):
+        raise AssertionError("a block was parsed")
+
+    monkeypatch.setattr(container, "_decode_cell", no_block_parsing)
+    assert main(["decrypt", "--key", str(stale), "--in", str(cipher), "--out", str(tmp_path / "o")]) == 2
+    assert main(["harden", "--key", str(stale), "--cipher", str(cipher)]) == 2
+
+
+def test_failed_replace_leaves_files_and_no_temp(tmp_path, golden_key_file, monkeypatch):
+    import os
+    import shutil
+
+    key = tmp_path / "k.cmk"
+    shutil.copy(golden_key_file, key)
+    plain = tmp_path / "p.bin"
+    plain.write_bytes(b"abc")
+    cipher = tmp_path / "c.cmc"
+    assert main(["encrypt", "--key", str(key), "--in", str(plain), "--out", str(cipher)]) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    assert main(["harden", "--key", str(key), "--cipher", str(cipher)]) == 3
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from cryptompress import codec
 from cryptompress.engine import (
+    AddSubMatrix,
     CompressedBlock,
     SequenceEvent,
     compress_block,
@@ -12,7 +13,6 @@ from cryptompress.engine import (
     traverse_target,
 )
 from cryptompress.errors import EmptyResidual, IntegrityFailure
-from cryptompress.keyschedule import build_asm
 
 st_orders = st.tuples(*[st.integers(0, 15)] * 4)
 st_symbols = st.lists(st.sampled_from(codec.PRIMES), min_size=15, max_size=15)
@@ -50,14 +50,14 @@ def tail_run_identity(symbols):
 
 
 def test_golden_asm_table(golden):
-    asm = build_asm(tuple(golden["orders"]))
+    asm = AddSubMatrix(tuple(golden["orders"]))
     for t, row in golden["asm_deltas"].items():
         for c, want in row.items():
             assert asm.delta(int(t), int(c)) == want
 
 
 def test_all_ones_orders_give_plus_one_everywhere():
-    asm = build_asm((15, 15, 15, 15))
+    asm = AddSubMatrix((15, 15, 15, 15))
     for t in codec.PRIMES:
         for c in codec.PRIMES:
             if t != c:
@@ -65,7 +65,7 @@ def test_all_ones_orders_give_plus_one_everywhere():
 
 
 def test_golden_first_traversal(golden, golden_chain):
-    asm = build_asm(golden_chain.base.orders)
+    asm = AddSubMatrix(golden_chain.base.orders)
     want = golden["first_traversal"]
     res = traverse_target(golden["symbols"], asm)
     assert res.target == want["target"]
@@ -76,7 +76,7 @@ def test_golden_first_traversal(golden, golden_chain):
 
 
 def test_golden_second_traversal(golden, golden_chain):
-    asm = build_asm(golden_chain.base.orders)
+    asm = AddSubMatrix(golden_chain.base.orders)
     want = golden["second_traversal"]
     res = traverse_target(golden["first_traversal"]["new_residual"], asm)
     assert (res.target, res.outcome, res.last_seq) == (7, 42, 8)
@@ -85,7 +85,7 @@ def test_golden_second_traversal(golden, golden_chain):
 
 
 def test_fifteen_twos_single_absorption():
-    res = traverse_target([2] * 15, build_asm((0, 0, 0, 0)))
+    res = traverse_target([2] * 15, AddSubMatrix((0, 0, 0, 0)))
     assert res.target == 2
     assert res.outcome == 30  # 2 + 14*2
     assert res.events == [SequenceEvent(1, 14)]
@@ -95,11 +95,11 @@ def test_fifteen_twos_single_absorption():
 
 def test_traverse_rejects_empty():
     with pytest.raises(EmptyResidual):
-        traverse_target([], build_asm((0, 0, 0, 0)))
+        traverse_target([], AddSubMatrix((0, 0, 0, 0)))
 
 
 def test_golden_compress_matches_published_tables(golden, golden_chain):
-    asm = build_asm(golden_chain.base.orders)
+    asm = AddSubMatrix(golden_chain.base.orders)
     cb = compress_block(golden["symbols"], asm)
     assert cb.rm == {int(p): v for p, v in golden["rm"].items()}
     for p in codec.PRIMES:
@@ -108,14 +108,14 @@ def test_golden_compress_matches_published_tables(golden, golden_chain):
 
 
 def test_compress_fifteen_twos():
-    cb = compress_block([2] * 15, build_asm((1, 2, 3, 4)))
+    cb = compress_block([2] * 15, AddSubMatrix((1, 2, 3, 4)))
     assert cb.rm == {2: 30, 3: None, 5: None, 7: None}
     assert cb.sm == {2: [SequenceEvent(1, 14)], 3: [], 5: [], 7: []}
     assert cb.tm == ((2, 1), None, None, None)
 
 
 def test_golden_decompress(golden, golden_chain):
-    asm = build_asm(golden_chain.base.orders)
+    asm = AddSubMatrix(golden_chain.base.orders)
     cb = CompressedBlock(
         rm={int(p): v for p, v in golden["rm"].items()},
         sm={p: [SequenceEvent(*e) for e in golden["sm"][str(p)]] for p in codec.PRIMES},
@@ -130,12 +130,12 @@ def test_decompress_fifteen_twos():
         sm={2: [SequenceEvent(1, 14)], 3: [], 5: [], 7: []},
         tm=((2, 1), None, None, None),
     )
-    assert decompress_block(cb, build_asm((9, 9, 9, 9))) == (2,) * 15
+    assert decompress_block(cb, AddSubMatrix((9, 9, 9, 9))) == (2,) * 15
 
 
 def test_round_trip_10000_random_blocks_and_100_asms():
     rng = random.Random(1)
-    asms = [build_asm(tuple(rng.randrange(16) for _ in range(4))) for _ in range(100)]
+    asms = [AddSubMatrix(tuple(rng.randrange(16) for _ in range(4))) for _ in range(100)]
     for i in range(10000):
         symbols = codec.block_to_symbols(rng.getrandbits(30))
         asm = asms[i % 100]
@@ -145,14 +145,14 @@ def test_round_trip_10000_random_blocks_and_100_asms():
 @settings(max_examples=300, deadline=None)
 @given(st_symbols, st_orders)
 def test_round_trip_property(symbols, orders):
-    asm = build_asm(orders)
+    asm = AddSubMatrix(orders)
     assert list(decompress_block(compress_block(symbols, asm), asm)) == symbols
 
 
 @settings(max_examples=300, deadline=None)
 @given(st_symbols, st_orders)
 def test_closed_form_and_conservation(symbols, orders):
-    asm = build_asm(orders)
+    asm = AddSubMatrix(orders)
     cb = compress_block(symbols, asm)
     want = closed_form_outcomes(symbols, asm)
     for p in codec.PRIMES:
@@ -168,7 +168,7 @@ def test_closed_form_and_conservation(symbols, orders):
 @settings(max_examples=300, deadline=None)
 @given(st_symbols, st_orders)
 def test_event_count_and_nibble_ranges(symbols, orders):
-    asm = build_asm(orders)
+    asm = AddSubMatrix(orders)
     res = traverse_target(symbols, asm)
     assert len(res.events) == tail_run_identity(symbols)
     non_target = sum(1 for s in symbols[1:] if s != res.target)
@@ -181,7 +181,7 @@ def test_event_count_and_nibble_ranges(symbols, orders):
 def test_singleton_final_prime_round_trips():
     # the last processed prime occurring once traverses in zero steps
     symbols = [2] * 14 + [3]
-    asm = build_asm((0, 0, 0, 0))
+    asm = AddSubMatrix((0, 0, 0, 0))
     cb = compress_block(symbols, asm)
     assert cb.tm[0] == (3, 0)
     assert cb.sm[3] == []
@@ -189,7 +189,7 @@ def test_singleton_final_prime_round_trips():
 
 
 def test_decompress_rejects_tampered_outcome(golden, golden_chain):
-    asm = build_asm(golden_chain.base.orders)
+    asm = AddSubMatrix(golden_chain.base.orders)
     cb = compress_block(golden["symbols"], asm)
     bad = CompressedBlock(rm={**cb.rm, 5: cb.rm[5] + 1}, sm=cb.sm, tm=cb.tm)
     with pytest.raises(IntegrityFailure):
@@ -197,7 +197,7 @@ def test_decompress_rejects_tampered_outcome(golden, golden_chain):
 
 
 def test_decompress_rejects_duplicate_seq(golden, golden_chain):
-    asm = build_asm(golden_chain.base.orders)
+    asm = AddSubMatrix(golden_chain.base.orders)
     cb = compress_block(golden["symbols"], asm)
     bad_sm = {**cb.sm, 5: [SequenceEvent(1, 2), SequenceEvent(1, 1), SequenceEvent(12, 1)]}
     with pytest.raises(IntegrityFailure):
@@ -205,7 +205,7 @@ def test_decompress_rejects_duplicate_seq(golden, golden_chain):
 
 
 def test_decompress_rejects_non_prefix_tm(golden, golden_chain):
-    asm = build_asm(golden_chain.base.orders)
+    asm = AddSubMatrix(golden_chain.base.orders)
     cb = compress_block(golden["symbols"], asm)
     gap = (cb.tm[0], None, cb.tm[2], cb.tm[3])
     with pytest.raises(IntegrityFailure):
@@ -219,4 +219,4 @@ def test_decompress_rejects_orphan_events():
         tm=((2, 1), None, None, None),
     )
     with pytest.raises(IntegrityFailure):
-        decompress_block(cb, build_asm((0, 0, 0, 0)))
+        decompress_block(cb, AddSubMatrix((0, 0, 0, 0)))

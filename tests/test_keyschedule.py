@@ -3,15 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cryptompress.engine import AddSubMatrix
 from cryptompress.errors import EntropyUnavailable, WrongLength
 from cryptompress.keyschedule import (
     BaseKey,
     KeyChain,
-    build_asm,
     derive_material,
     extend_key,
     generate_key,
-    parse_key,
     sticky_nibbles,
 )
 
@@ -20,7 +19,7 @@ CHI2_CRIT = 37.697
 
 
 def test_parse_golden_key(golden):
-    asm, table, subkeys = parse_key(bytes.fromhex(golden["key_hex"]))
+    asm, table, subkeys = derive_material(BaseKey.from_bytes(bytes.fromhex(golden["key_hex"])))
     assert asm.orders == tuple(golden["orders"])
     assert subkeys.values == tuple(golden["xor_subkeys"])
     for kind, want in golden["nibble_table"].items():
@@ -28,7 +27,7 @@ def test_parse_golden_key(golden):
 
 
 def test_parse_all_zero_key():
-    asm, table, subkeys = parse_key(bytes(16))
+    asm, table, subkeys = derive_material(BaseKey.from_bytes(bytes(16)))
     assert asm.orders == (0, 0, 0, 0)
     for t in (2, 3, 5, 7):
         for c in (2, 3, 5, 7):
@@ -41,7 +40,7 @@ def test_parse_all_zero_key():
 
 def test_parse_rejects_wrong_length():
     with pytest.raises(WrongLength):
-        parse_key(bytes(15))
+        derive_material(BaseKey.from_bytes(bytes(15)))
 
 
 def test_serialize_parse_round_trip_1000():
@@ -58,7 +57,7 @@ def test_serialize_parse_round_trip_property(raw):
 
 
 def test_build_asm_golden_table(golden):
-    asm = build_asm((0x2, 0x3, 0x5, 0x7))
+    asm = AddSubMatrix((0x2, 0x3, 0x5, 0x7))
     want_rows = {
         2: {3: -1, 5: 1, 7: -1},
         3: {2: -1, 5: 1, 7: 1},
@@ -71,7 +70,7 @@ def test_build_asm_golden_table(golden):
 
 
 def test_delta_examples_from_traversal():
-    asm = build_asm((0x2, 0x3, 0x5, 0x7))
+    asm = AddSubMatrix((0x2, 0x3, 0x5, 0x7))
     assert asm.delta(5, 2) == -1
     assert asm.delta(5, 7) == 1
 
@@ -81,8 +80,8 @@ def test_diagonal_bit_is_never_read():
     for i in range(4):
         orders = [0x2, 0x3, 0x5, 0x7]
         orders[i] ^= 1 << (3 - i)  # flip the target's own column bit
-        flipped = build_asm(tuple(orders))
-        ref = build_asm((0x2, 0x3, 0x5, 0x7))
+        flipped = AddSubMatrix(tuple(orders))
+        ref = AddSubMatrix((0x2, 0x3, 0x5, 0x7))
         for t in primes:
             for c in primes:
                 if t != c:
@@ -92,11 +91,11 @@ def test_diagonal_bit_is_never_read():
 def test_arrangement_bits_never_touch_deltas():
     rng = random.Random(9)
     orders = (0x2, 0x3, 0x5, 0x7)
-    ref = build_asm(orders)
+    ref = AddSubMatrix(orders)
     for _ in range(50):
         raw = bytearray(rng.randbytes(16))
         raw[0:2] = bytes([0x23, 0x57])
-        asm, _, _ = parse_key(bytes(raw))
+        asm, _, _ = derive_material(BaseKey.from_bytes(bytes(raw)))
         for t in (2, 3, 5, 7):
             for c in (2, 3, 5, 7):
                 if t != c:
