@@ -32,12 +32,7 @@ from .keyschedule import (
     generate_key,
 )
 from .cipher import (
-    AsmStringCell,
     CipherGrid,
-    EmptyCell,
-    RmOutcomeCell,
-    SmListCell,
-    TmPairCell,
     decrypt_block,
     encrypt_block,
     harden_message,
@@ -75,12 +70,7 @@ __all__ = [
     "derive_material",
     "extend_key",
     "generate_key",
-    "AsmStringCell",
     "CipherGrid",
-    "EmptyCell",
-    "RmOutcomeCell",
-    "SmListCell",
-    "TmPairCell",
     "encrypt_block",
     "decrypt_block",
     "harden_message",

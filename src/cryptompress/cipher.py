@@ -15,9 +15,10 @@ table.
 """
 
 import random
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import codec
 from .engine import (
@@ -48,53 +49,57 @@ N_SLOTS = 4
 N_CELLS = N_KINDS * N_SLOTS
 SM_BASE = 3 * N_SLOTS  # logical index of prime 2's sequence-list cell
 
-
-@dataclass(frozen=True)
-class EmptyCell:
-    pass
-
-
-@dataclass(frozen=True)
-class AsmStringCell:
-    """One matrix row or column: where the self-mark X sits and the four
-    sign bits (MSB->LSB over targets 2,3,5,7; 1 is +1)."""
-
-    x_pos: int
-    sign_mask: int
-
-    def render(self) -> str:
-        parts = []
-        for i in range(4):
-            if i == self.x_pos:
-                parts.append("X")
-            else:
-                parts.append("+1" if (self.sign_mask >> (3 - i)) & 1 else "-1")
-        return "".join(parts)
+# A cell is a tuple whose first element is its tag, the same tag that
+# leads it on the wire, so equal cells are always of the same kind:
+#   (EMPTY,)                     an empty slot
+#   (ASM, x_pos, sign_mask)      one matrix row or column: where the
+#                                self-mark X sits and the four sign bits
+#                                (MSB->LSB over targets 2,3,5,7; 1 is +1)
+#   (RM, value)                  one target's reduced outcome
+#   (SM, pairs)                  one target's (S, R) sequence pairs
+#   (TM, prime_code, last_seq)   a term pair; prime_code indexes (2,3,5,7)
+EMPTY, ASM, RM, SM, TM = range(N_KINDS)
+Cell = tuple
 
 
-@dataclass(frozen=True)
-class RmOutcomeCell:
-    value: int
+def _asm_text(cell: Cell) -> str:
+    _, x_pos, mask = cell
+    return "".join(
+        "X" if i == x_pos else "+1" if (mask >> (3 - i)) & 1 else "-1" for i in range(4)
+    )
 
 
-@dataclass(frozen=True)
-class SmListCell:
-    pairs: tuple[tuple[int, int], ...]
+class CellKind(NamedTuple):
+    """Everything that depends on a cell's kind: KINDS[tag] describes the
+    cells that carry `tag`."""
 
-    def render(self) -> str:
-        return " ; ".join(f"{s}|{r}" for s, r in self.pairs) if self.pairs else "(none)"
-
-
-@dataclass(frozen=True)
-class TmPairCell:
-    prime_code: int  # index into (2,3,5,7)
-    last_seq: int
-
-    def render(self) -> str:
-        return f"{PRIMES[self.prime_code]}|{self.last_seq}"
+    name: str  # the cell's "kind" in `inspect --json`
+    count: Callable[[int], int]  # cells of this kind in a grid of m outcomes
+    # The cell as a wire record, tag byte first. The SM record is
+    # (tag, count), followed by that many (S, R) byte pairs.
+    wire: struct.Struct
+    limits: tuple[int, ...]  # largest value of each field after the tag
+    text: Callable[[Cell], str]  # the cell in the `inspect` table
+    view: Callable[[Cell], dict]  # its `inspect --json` fields after "kind"
 
 
-Cell = Union[EmptyCell, AsmStringCell, RmOutcomeCell, SmListCell, TmPairCell]
+KINDS = (
+    CellKind("empty", lambda m: 8 - 2 * m, struct.Struct("B"), (), lambda c: "-", lambda c: {}),
+    CellKind(
+        "asm", lambda m: 8, struct.Struct("BBB"), (3, 15), _asm_text,
+        lambda c: {"x_pos": c[1], "sign_mask": c[2], "text": _asm_text(c)},
+    ),
+    CellKind("rm", lambda m: m, struct.Struct(">Bi"), (), lambda c: str(c[1]), lambda c: {"value": c[1]}),
+    CellKind(
+        "sm", lambda m: 4, struct.Struct("BB"), (15,),  # the limit holds for every pair byte
+        lambda c: " ; ".join(f"{s}|{r}" for s, r in c[1]) if c[1] else "(none)",
+        lambda c: {"pairs": [list(p) for p in c[1]]},
+    ),
+    CellKind(
+        "tm", lambda m: m, struct.Struct("BBB"), (3,), lambda c: f"{PRIMES[c[1]]}|{c[2]}",
+        lambda c: {"prime": PRIMES[c[1]], "last_seq": c[2]},
+    ),
+)
 
 
 @dataclass(frozen=True)
@@ -114,23 +119,25 @@ class CipherGrid:
         return [[self.cell(k, r) for k in range(N_KINDS)] for r in range(N_SLOTS)]
 
 
+# counts[tag] of a valid grid, keyed by its number of outcomes m
+_INVENTORY = {m: [kind.count(m) for kind in KINDS] for m in range(1, N_SLOTS + 1)}
+
+
+def check_counts(counts: list[int], exc: type[Exception]) -> None:
+    """Raise `exc` unless counts[tag], the number of cells with each tag in
+    one grid, make up the 20 logical items of a block."""
+    if counts != _INVENTORY.get(counts[RM]):
+        raise exc(
+            "cell inventory is not a permutation of the 20 logical items: "
+            f"{dict(zip((k.name for k in KINDS), counts))}"
+        )
+
+
 def _check_inventory(cells: Sequence[Cell], exc: type[Exception]) -> None:
-    counts = {EmptyCell: 0, AsmStringCell: 0, RmOutcomeCell: 0, SmListCell: 0, TmPairCell: 0}
     if len(cells) != N_CELLS:
         raise exc(f"expected {N_CELLS} cells, got {len(cells)}")
-    for c in cells:
-        if type(c) not in counts:
-            raise exc(f"unknown cell type {type(c).__name__}")
-        counts[type(c)] += 1
-    m = counts[RmOutcomeCell]
-    if (
-        counts[AsmStringCell] != 8
-        or counts[SmListCell] != 4
-        or counts[TmPairCell] != m
-        or not 1 <= m <= 4
-        or counts[EmptyCell] != 8 - 2 * m
-    ):
-        raise exc(f"cell inventory is not a permutation of the 20 logical items: {counts}")
+    tags = [c[0] for c in cells]
+    check_counts([tags.count(tag) for tag in range(N_KINDS)], exc)
 
 
 def check_rounds(rounds: int, chain: KeyChain) -> None:
@@ -234,11 +241,11 @@ def unscramble(cells: Sequence[Cell], slots: Sequence[int]) -> tuple[Cell, ...]:
 
 
 @lru_cache(maxsize=64)
-def _asm_cells(orders: tuple[int, int, int, int]) -> tuple[AsmStringCell, ...]:
+def _asm_cells(orders: tuple[int, int, int, int]) -> tuple[Cell, ...]:
     """The 8 matrix-string cells: the order nibbles as rows, then the
     transposed bit matrix as columns."""
     columns = [sum(((orders[t] >> (3 - c)) & 1) << (3 - t) for t in range(4)) for c in range(4)]
-    return tuple(AsmStringCell(x_pos=i % 4, sign_mask=m) for i, m in enumerate(orders + tuple(columns)))
+    return tuple((ASM, i % 4, m) for i, m in enumerate(orders + tuple(columns)))
 
 
 def data_cells(cb: CompressedBlock, key: Optional[CompiledKey] = None) -> tuple[Cell, ...]:
@@ -247,16 +254,16 @@ def data_cells(cb: CompressedBlock, key: Optional[CompiledKey] = None) -> tuple[
     cells: list[Cell] = []
     for p in PRIMES:
         v = cb.rm.get(p)
-        cells.append(EmptyCell() if v is None else RmOutcomeCell(v))
+        cells.append((EMPTY,) if v is None else (RM, v))
     for i, p in enumerate(PRIMES):
         pairs = cb.sm.get(p, [])
-        cells.append(SmListCell(tuple(pairs) if key is None else seal_pairs(pairs, key, i)))
+        cells.append((SM, tuple(pairs) if key is None else seal_pairs(pairs, key, i)))
     for slot in cb.tm:
         if slot is None:
-            cells.append(EmptyCell())
+            cells.append((EMPTY,))
         else:
             prime, last_seq = slot
-            cells.append(TmPairCell(PRIMES.index(prime), last_seq))
+            cells.append((TM, codec.PRIME_INDEX[prime], last_seq))
     return tuple(cells)
 
 
@@ -277,36 +284,26 @@ def _split_logical(cells: Sequence[Cell], key: CompiledKey) -> CompressedBlock:
     for kind in (0, 1):
         for i in range(N_SLOTS):
             c = cells[kind * N_SLOTS + i]
-            if not isinstance(c, AsmStringCell):
-                raise IntegrityFailure(
-                    f"matrix-string slot ({kind},{i}) holds {type(c).__name__}"
-                )
-            if c.x_pos != i:
-                raise IntegrityFailure(
-                    f"matrix-string cell at slot {i} marks position {c.x_pos}"
-                )
+            if c[0] != ASM:
+                raise IntegrityFailure(f"matrix-string slot ({kind},{i}) holds {KINDS[c[0]].name}")
+            if c[1] != i:
+                raise IntegrityFailure(f"matrix-string cell at slot {i} marks position {c[1]}")
     rm = {}
     for i, p in enumerate(PRIMES):
         c = cells[2 * N_SLOTS + i]
-        if isinstance(c, RmOutcomeCell):
-            rm[p] = c.value
-        elif isinstance(c, EmptyCell):
-            rm[p] = None
-        else:
-            raise IntegrityFailure(f"outcome slot for prime {p} holds {type(c).__name__}")
+        if c[0] not in (RM, EMPTY):
+            raise IntegrityFailure(f"outcome slot for prime {p} holds {KINDS[c[0]].name}")
+        rm[p] = c[1] if c[0] == RM else None
         s = cells[SM_BASE + i]
-        if not isinstance(s, SmListCell):
-            raise IntegrityFailure(f"sequence slot for prime {p} holds {type(s).__name__}")
+        if s[0] != SM:
+            raise IntegrityFailure(f"sequence slot for prime {p} holds {KINDS[s[0]].name}")
     tm: list[Optional[tuple[int, int]]] = []
     for i in range(N_SLOTS):
         c = cells[4 * N_SLOTS + i]
-        if isinstance(c, TmPairCell):
-            tm.append((PRIMES[c.prime_code], c.last_seq))
-        elif isinstance(c, EmptyCell):
-            tm.append(None)
-        else:
-            raise IntegrityFailure(f"term slot {i} holds {type(c).__name__}")
-    sm: SequenceMatrix = {p: open_pairs(cells[SM_BASE + i].pairs, key, i) for i, p in enumerate(PRIMES)}
+        if c[0] not in (TM, EMPTY):
+            raise IntegrityFailure(f"term slot {i} holds {KINDS[c[0]].name}")
+        tm.append((PRIMES[c[1]], c[2]) if c[0] == TM else None)
+    sm: SequenceMatrix = {p: open_pairs(cells[SM_BASE + i][1], key, i) for i, p in enumerate(PRIMES)}
     return CompressedBlock(rm=rm, sm=sm, tm=tuple(tm))
 
 
@@ -351,11 +348,9 @@ def harden_message(
         cells = list(grid.cells)
         for i, j in enumerate(sm_slots):
             c = cells[j]
-            if not isinstance(c, SmListCell):
-                raise IntegrityFailure(
-                    f"sequence slot for prime {PRIMES[i]} holds {type(c).__name__}"
-                )
-            cells[j] = SmListCell(sticky_round(c.pairs, ks[2 * i], ks[2 * i + 1]))
+            if c[0] != SM:
+                raise IntegrityFailure(f"sequence slot for prime {PRIMES[i]} holds {KINDS[c[0]].name}")
+            cells[j] = (SM, sticky_round(c[1], ks[2 * i], ks[2 * i + 1]))
         out.append(
             CipherGrid(orders=grid.orders, cells=tuple(cells), sticky_rounds=grid.sticky_rounds + 1)
         )

@@ -26,12 +26,8 @@ from typing import Optional, Sequence
 
 from . import analysis, codec, container
 from .cipher import (
-    AsmStringCell,
+    KINDS,
     CipherGrid,
-    EmptyCell,
-    RmOutcomeCell,
-    SmListCell,
-    TmPairCell,
     check_rounds,
     decrypt_block,
     encrypt_block,
@@ -112,8 +108,8 @@ def _parse_block_arg(text: str) -> int:
         value = int(s, 16)
     except ValueError:
         raise UsageError(f"--block expects hex digits, got {text!r}")
-    if value >= 1 << codec.BLOCK_BITS:
-        raise UsageError(f"--block must fit 30 bits, got {text!r}")
+    if not 0 <= value < 1 << codec.BLOCK_BITS:
+        raise UsageError(f"--block must be a non-negative value of at most 30 bits, got {text!r}")
     return value
 
 
@@ -176,31 +172,16 @@ def _cmd_harden(args) -> int:
     return 0
 
 
-def _cell_dict(cell) -> dict:
-    if isinstance(cell, EmptyCell):
-        return {"kind": "empty"}
-    if isinstance(cell, AsmStringCell):
-        return {"kind": "asm", "x_pos": cell.x_pos, "sign_mask": cell.sign_mask, "text": cell.render()}
-    if isinstance(cell, RmOutcomeCell):
-        return {"kind": "rm", "value": cell.value}
-    if isinstance(cell, SmListCell):
-        return {"kind": "sm", "pairs": [list(p) for p in cell.pairs]}
-    return {"kind": "tm", "prime": PRIMES[cell.prime_code], "last_seq": cell.last_seq}
-
-
-def _cell_text(cell) -> str:
-    if isinstance(cell, EmptyCell):
-        return "-"
-    if isinstance(cell, (AsmStringCell, SmListCell, TmPairCell)):
-        return cell.render()
-    return str(cell.value)
+def _cell_view(cell) -> dict:
+    kind = KINDS[cell[0]]
+    return {"kind": kind.name, **kind.view(cell)}
 
 
 def _render_grid(grid: CipherGrid) -> str:
     headers = ["Order", "ASM(h)", "ASM(v)", "RM", "SM", "TM"]
     rows = []
     for r, row in enumerate(grid.rows()):
-        rows.append([format(grid.orders[r], "04b")] + [_cell_text(c) for c in row])
+        rows.append([format(grid.orders[r], "04b")] + [KINDS[c[0]].text(c) for c in row])
     widths = [max(len(headers[c]), *(len(row[c]) for row in rows)) for c in range(6)]
     lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
     for row in rows:
@@ -217,7 +198,7 @@ def _cmd_inspect(args) -> int:
             "blocks": [
                 {
                     "orders": list(g.orders),
-                    "rows": [[_cell_dict(c) for c in row] for row in g.rows()],
+                    "rows": [[_cell_view(c) for c in row] for row in g.rows()],
                 }
                 for g in msg.grids
             ],
@@ -298,6 +279,8 @@ def _cmd_analyze_bruteforce(args) -> int:
 
 
 def _cmd_analyze_compression(args) -> int:
+    if args.count < 1:
+        raise UsageError(f"--count must be at least 1, got {args.count}")
     rng = random.Random(args.seed)
     chain = KeyChain(base=generate_key(rng))
     asm, _, _ = derive_material(chain.base)

@@ -18,8 +18,7 @@ BLOCK_BITS = 30
 SYMBOLS_PER_BLOCK = 15
 PRIMES = (2, 3, 5, 7)
 
-_PAIR_TO_PRIME = {0: 2, 1: 3, 2: 5, 3: 7}
-_PRIME_TO_PAIR = {2: 0, 3: 1, 5: 2, 7: 3}
+PRIME_INDEX = {p: i for i, p in enumerate(PRIMES)}  # prime -> its index, also its bit pair
 
 
 @dataclass(frozen=True)
@@ -39,7 +38,7 @@ def block_to_symbols(block: int) -> tuple[int, ...]:
     if not isinstance(block, int) or block < 0 or block >= 1 << BLOCK_BITS:
         raise WrongLength(f"block must be a 30-bit value, got {block!r}")
     return tuple(
-        _PAIR_TO_PRIME[(block >> (BLOCK_BITS - 2 - 2 * i)) & 3]
+        PRIMES[(block >> (BLOCK_BITS - 2 - 2 * i)) & 3]
         for i in range(SYMBOLS_PER_BLOCK)
     )
 
@@ -50,9 +49,9 @@ def symbols_to_block(symbols: Sequence[int]) -> int:
         raise WrongLength(f"expected 15 symbols, got {len(symbols)}")
     block = 0
     for s in symbols:
-        if s not in _PRIME_TO_PAIR:
+        if s not in PRIME_INDEX:
             raise ValueOutOfRange(f"symbol must be one of {PRIMES}, got {s!r}")
-        block = (block << 2) | _PRIME_TO_PAIR[s]
+        block = (block << 2) | PRIME_INDEX[s]
     return block
 
 

@@ -11,17 +11,18 @@ and 20 tagged cells row-major. All multi-byte integers are big-endian.
 
 import struct
 from dataclasses import dataclass
+from itertools import chain
+from operator import le
+
 from .cipher import (
-    AsmStringCell,
-    Cell,
-    CipherGrid,
-    EmptyCell,
+    KINDS,
+    N_CELLS,
     N_KINDS,
     N_SLOTS,
-    RmOutcomeCell,
-    SmListCell,
-    TmPairCell,
-    _check_inventory,
+    SM,
+    Cell,
+    CipherGrid,
+    check_counts,
     data_cells,
 )
 from .errors import (
@@ -38,12 +39,6 @@ from .keyschedule import BaseKey, KeyChain
 KEY_MAGIC = b"CMK1"
 CIPHER_MAGIC = b"CMC1"
 CIPHER_VERSION = 1
-
-_TAG_EMPTY = 0
-_TAG_ASM = 1
-_TAG_RM = 2
-_TAG_SM = 3
-_TAG_TM = 4
 
 
 @dataclass(frozen=True)
@@ -91,68 +86,42 @@ def read_key(data: bytes) -> KeyChain:
 
 
 def _encode_cell(cell: Cell) -> bytes:
-    if isinstance(cell, EmptyCell):
-        return bytes([_TAG_EMPTY])
-    if isinstance(cell, AsmStringCell):
-        return bytes([_TAG_ASM, cell.x_pos, cell.sign_mask])
-    if isinstance(cell, RmOutcomeCell):
-        return bytes([_TAG_RM]) + struct.pack(">i", cell.value)
-    if isinstance(cell, SmListCell):
-        if len(cell.pairs) > 255:
-            raise MalformedCell("sequence list longer than 255 pairs")
-        out = bytearray([_TAG_SM, len(cell.pairs)])
-        for s, r in cell.pairs:
-            out += bytes([s, r])
-        return bytes(out)
-    if isinstance(cell, TmPairCell):
-        return bytes([_TAG_TM, cell.prime_code, cell.last_seq])
-    raise MalformedCell(f"cannot encode {type(cell).__name__}")
+    if cell[0] != SM:
+        return KINDS[cell[0]].wire.pack(*cell)
+    pairs = cell[1]
+    if len(pairs) > 255:
+        raise MalformedCell("sequence list longer than 255 pairs")
+    return bytes([SM, len(pairs), *chain.from_iterable(pairs)])
 
 
-class _Reader:
-    def __init__(self, data: bytes, pos: int = 0):
-        self.data = data
-        self.pos = pos
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise Truncated(
-                f"need {n} bytes at offset {self.pos}, only {len(self.data) - self.pos} left"
-            )
-        chunk = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
-
-    def byte(self) -> int:
-        return self.take(1)[0]
+def _truncated(data: bytes, pos: int, n: int) -> Truncated:
+    return Truncated(f"need {n} bytes at offset {pos}, only {len(data) - pos} left")
 
 
-def _decode_cell(r: _Reader) -> Cell:
-    tag = r.byte()
-    if tag == _TAG_EMPTY:
-        return EmptyCell()
-    if tag == _TAG_ASM:
-        x_pos, mask = r.byte(), r.byte()
-        if x_pos > 3 or mask > 15:
-            raise MalformedCell(f"bad matrix string payload ({x_pos},{mask})")
-        return AsmStringCell(x_pos=x_pos, sign_mask=mask)
-    if tag == _TAG_RM:
-        return RmOutcomeCell(struct.unpack(">i", r.take(4))[0])
-    if tag == _TAG_SM:
-        count = r.byte()
-        pairs = []
-        for _ in range(count):
-            s, rr = r.byte(), r.byte()
-            if s > 15 or rr > 15:
-                raise MalformedCell(f"sequence pair ({s},{rr}) does not fit nibbles")
-            pairs.append((s, rr))
-        return SmListCell(tuple(pairs))
-    if tag == _TAG_TM:
-        code, last_seq = r.byte(), r.byte()
-        if code > 3:
-            raise MalformedCell(f"term prime code {code} out of range")
-        return TmPairCell(prime_code=code, last_seq=last_seq)
-    raise MalformedCell(f"unknown cell tag {tag}")
+def _decode_cell(data: bytes, pos: int) -> tuple[Cell, int]:
+    """The cell whose tag byte is data[pos], and the offset after it."""
+    if pos >= len(data):
+        raise _truncated(data, pos, 1)
+    tag = data[pos]
+    if tag >= N_KINDS:
+        raise MalformedCell(f"unknown cell tag {tag}")
+    kind = KINDS[tag]
+    end = pos + kind.wire.size
+    if end > len(data):
+        raise _truncated(data, pos, kind.wire.size)
+    cell = kind.wire.unpack_from(data, pos)
+    if tag == SM:
+        start, end = end, end + 2 * cell[1]
+        body = data[start:end]
+        # pairs are read in order: a whole pair out of range outranks truncation
+        if max(body[: len(body) & ~1], default=0) > kind.limits[0]:
+            raise MalformedCell(f"sequence pairs {body.hex()} do not fit nibbles")
+        if end > len(data):
+            raise _truncated(data, start, end - start)
+        return (SM, tuple(zip(body[::2], body[1::2]))), end
+    if not all(map(le, cell[1:], kind.limits)):
+        raise MalformedCell(f"{kind.name} cell payload {cell[1:]} out of range")
+    return cell, end
 
 
 def write_cipher(msg: CipherMessage) -> bytes:
@@ -181,24 +150,30 @@ def write_cipher(msg: CipherMessage) -> bytes:
 
 
 HEADER_BYTES = 11
+# wire position (row-major) of each in-memory (kind-major) cell
+_WIRE_INDEX = tuple(row * N_KINDS + kind for kind in range(N_KINDS) for row in range(N_SLOTS))
 
 
 def read_header(data: bytes) -> tuple[int, int, int]:
     """Parse and check the fixed-size CMC1 header alone: (sticky rounds,
     block count, tail bits). A round-count mismatch can be decided from it
     before any block is parsed."""
-    r = _Reader(data)
-    magic = r.take(4)
-    if magic != CIPHER_MAGIC:
-        raise BadMagic(f"expected {CIPHER_MAGIC!r}, got {magic!r}")
-    version = r.byte()
-    if version != CIPHER_VERSION:
-        raise BadVersion(f"unsupported cipher file version {version}")
-    rounds = r.byte()
-    block_count = struct.unpack(">I", r.take(4))[0]
+    if len(data) < 4:
+        raise _truncated(data, 0, 4)
+    if data[:4] != CIPHER_MAGIC:
+        raise BadMagic(f"expected {CIPHER_MAGIC!r}, got {data[:4]!r}")
+    if len(data) < 5:
+        raise _truncated(data, 4, 1)
+    if data[4] != CIPHER_VERSION:
+        raise BadVersion(f"unsupported cipher file version {data[4]}")
+    if len(data) < 10:
+        raise _truncated(data, 5, 5)
+    rounds, block_count = data[5], int.from_bytes(data[6:10], "big")
     if block_count == 0:
         raise MalformedCell("cipher file declares zero blocks")
-    tail_bits = r.byte()
+    if len(data) < HEADER_BYTES:
+        raise _truncated(data, 10, 1)
+    tail_bits = data[10]
     if not 1 <= tail_bits <= 30:
         raise MalformedCell(f"tail_bits must be in [1,30], got {tail_bits}")
     return rounds, block_count, tail_bits
@@ -206,18 +181,24 @@ def read_header(data: bytes) -> tuple[int, int, int]:
 
 def read_cipher(data: bytes) -> CipherMessage:
     rounds, block_count, tail_bits = read_header(data)
-    r = _Reader(data, HEADER_BYTES)
+    pos = HEADER_BYTES
     grids = []
     for _ in range(block_count):
-        ob = r.take(2)
-        orders = (ob[0] >> 4, ob[0] & 15, ob[1] >> 4, ob[1] & 15)
-        row_major = [_decode_cell(r) for _ in range(20)]
-        # row-major on the wire, kind-major in memory
-        cells = tuple(row_major[row * N_KINDS + kind] for kind in range(N_KINDS) for row in range(N_SLOTS))
-        _check_inventory(cells, InventoryMismatch)
-        grids.append(CipherGrid(orders=orders, cells=cells, sticky_rounds=rounds))
-    if r.pos != len(data):
-        raise MalformedCell(f"{len(data) - r.pos} trailing bytes after last block")
+        if pos + 2 > len(data):
+            raise _truncated(data, pos, 2)
+        a, b = data[pos], data[pos + 1]
+        pos += 2
+        counts = [0] * N_KINDS
+        wire = []
+        for _ in range(N_CELLS):
+            cell, pos = _decode_cell(data, pos)
+            counts[cell[0]] += 1
+            wire.append(cell)
+        check_counts(counts, InventoryMismatch)
+        orders = (a >> 4, a & 15, b >> 4, b & 15)
+        grids.append(CipherGrid(orders, tuple(wire[i] for i in _WIRE_INDEX), rounds))
+    if pos != len(data):
+        raise MalformedCell(f"{len(data) - pos} trailing bytes after last block")
     return CipherMessage(grids=tuple(grids), tail_bits=tail_bits)
 
 

@@ -15,10 +15,8 @@ residual is empty.
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-from .codec import PRIMES, SYMBOLS_PER_BLOCK
+from .codec import PRIME_INDEX, PRIMES, SYMBOLS_PER_BLOCK
 from .errors import EmptyResidual, IntegrityFailure, ValueOutOfRange
-
-PRIME_INDEX = {2: 0, 3: 1, 5: 2, 7: 3}
 
 
 @dataclass(frozen=True)

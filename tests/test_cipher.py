@@ -5,11 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 import cryptompress as cm
 from cryptompress.cipher import (
-    AsmStringCell,
-    EmptyCell,
-    RmOutcomeCell,
-    SmListCell,
-    TmPairCell,
+    ASM,
+    EMPTY,
+    RM,
+    SM,
+    TM,
     compile_key,
     logical_cells,
     open_pairs,
@@ -150,20 +150,20 @@ def test_folded_mask_matches_step_by_step_rounds(pyrandom, depth):
 def grid_items(rng):
     """A random but inventory-valid set of 20 cells."""
     present = sorted(rng.sample(PRIMES, rng.randrange(1, 5)))
-    cells = [AsmStringCell(x_pos=i, sign_mask=rng.randrange(16)) for i in range(4)]
-    cells += [AsmStringCell(x_pos=i, sign_mask=rng.randrange(16)) for i in range(4)]
+    cells = [(ASM, i, rng.randrange(16)) for i in range(4)]
+    cells += [(ASM, i, rng.randrange(16)) for i in range(4)]
     for p in PRIMES:
-        cells.append(RmOutcomeCell(rng.randrange(-50, 120)) if p in present else EmptyCell())
+        cells.append((RM, rng.randrange(-50, 120)) if p in present else (EMPTY,))
     for p in PRIMES:
         pairs = tuple(
             (rng.randrange(16), rng.randrange(16)) for _ in range(rng.randrange(0, 4))
         )
-        cells.append(SmListCell(pairs if p in present else ()))
+        cells.append((SM, pairs if p in present else ()))
     for i in range(4):
         if i < len(present):
-            cells.append(TmPairCell(prime_code=rng.randrange(4), last_seq=rng.randrange(15)))
+            cells.append((TM, rng.randrange(4), rng.randrange(15)))
         else:
-            cells.append(EmptyCell())
+            cells.append((EMPTY,))
     return tuple(cells)
 
 
@@ -197,7 +197,7 @@ def test_scramble_rejects_bad_inventory():
     rng = random.Random(12)
     slots = compile_key(KeyChain(base=generate_key(rng))).slots
     cells = list(grid_items(rng))
-    cells[0] = EmptyCell()  # now 7 matrix strings and an extra empty
+    cells[0] = (EMPTY,)  # now 7 matrix strings and an extra empty
     with pytest.raises(IncompleteGrid):
         scramble(tuple(cells), slots)
 
@@ -209,13 +209,13 @@ def test_encrypt_block_unscrambles_to_published_tables(golden, golden_chain, gol
     cells = unscramble(grid.cells, compile_key(golden_chain).slots)
     # rm column
     for i, p in enumerate(PRIMES):
-        assert cells[8 + i] == RmOutcomeCell(golden["rm"][str(p)])
+        assert cells[8 + i] == (RM, golden["rm"][str(p)])
     # sm column carries the xored payloads
     for i, p in enumerate(PRIMES):
-        assert cells[12 + i] == SmListCell(tuple(tuple(e) for e in golden["sm_xored"][str(p)]))
+        assert cells[12 + i] == (SM, tuple(tuple(e) for e in golden["sm_xored"][str(p)]))
     # tm column
     for i, (p, last) in enumerate(tuple(s) for s in golden["tm"]):
-        assert cells[16 + i] == TmPairCell(PRIMES.index(p), last)
+        assert cells[16 + i] == (TM, PRIMES.index(p), last)
 
 
 def test_encrypt_is_deterministic(golden_chain, golden_block):
@@ -266,8 +266,8 @@ def test_harden_changes_only_sequence_cells(golden_chain, golden_block):
     assert hardened.orders == grid.orders
     for before, after in zip(grid.cells, hardened.cells):
         if before != after:
-            assert isinstance(before, SmListCell)
-            assert isinstance(after, SmListCell)
+            assert before[0] == SM
+            assert after[0] == SM
     assert cm.decrypt_block(hardened, chain2) == golden_block
 
 
@@ -297,8 +297,8 @@ def test_sm_values_stay_nibbles_after_many_rounds(golden_chain, golden_block):
     for _ in range(8):
         (grid,), chain = cm.harden_message((grid,), chain, rng)
         for cell in grid.cells:
-            if isinstance(cell, SmListCell):
-                for s, r in cell.pairs:
+            if cell[0] == SM:
+                for s, r in cell[1]:
                     assert 0 <= s <= 15 and 0 <= r <= 15
 
 

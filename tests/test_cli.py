@@ -4,6 +4,7 @@ import random
 import pytest
 
 from cryptompress import container
+from cryptompress.cipher import SM
 from cryptompress.cli import main
 
 
@@ -101,7 +102,7 @@ def test_harden_only_rewrites_sequence_cells(tmp_path, golden_key_file):
         assert g0.orders == g1.orders
         for c0, c1 in zip(g0.cells, g1.cells):
             if c0 != c1:
-                assert type(c0).__name__ == "SmListCell"
+                assert c0[0] == SM and c1[0] == SM
 
 
 def test_trace_json_matches_published_steps(tmp_path, golden_key_file, golden, capsys):
@@ -141,8 +142,15 @@ def test_inspect_json_and_text(tmp_path, golden_key_file, capsys):
 def test_usage_errors_exit_1(tmp_path, golden_key_file):
     assert main(["trace", "--key", golden_key_file, "--block", "zz"]) == 1
     assert main(["trace", "--key", golden_key_file, "--block", "1FFFFFFFF"]) == 1
+    assert main(["trace", "--key", golden_key_file, "--block", "-1"]) == 1
     assert main(["encrypt", "--key", golden_key_file]) == 1
     assert main(["nosuchcommand"]) == 1
+
+
+def test_analyze_compression_count_below_one_is_usage_error(capsys):
+    for count in ("0", "-3"):
+        assert main(["analyze", "compression", "--count", count]) == 1
+        assert "--count must be at least 1" in capsys.readouterr().err
 
 
 def test_missing_and_malformed_files_exit_3(tmp_path, golden_key_file):

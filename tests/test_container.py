@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import cryptompress as cm
 from cryptompress import container
-from cryptompress.cipher import EmptyCell
+from cryptompress.cipher import EMPTY
 from cryptompress.errors import (
     BadMagic,
     BadVersion,
@@ -125,9 +125,9 @@ def test_unknown_cell_tag_rejected(golden_chain, golden_block):
 def test_inventory_mismatch(golden_chain, golden_block):
     grid = cm.encrypt_block(golden_block, golden_chain)
     # overwrite one matrix-string cell with an extra empty
-    idx = next(i for i, c in enumerate(grid.cells) if not isinstance(c, EmptyCell))
+    idx = next(i for i, c in enumerate(grid.cells) if c[0] != EMPTY)
     cells = list(grid.cells)
-    cells[idx] = EmptyCell()
+    cells[idx] = (EMPTY,)
     bad = container.CipherMessage(
         grids=(cm.CipherGrid(orders=grid.orders, cells=tuple(cells), sticky_rounds=0),),
         tail_bits=30,
