@@ -15,6 +15,7 @@ tampering, round-count mismatch), 3 I/O or format error.
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import os
@@ -177,6 +178,36 @@ def _cell_view(cell) -> dict:
     return {"kind": kind.name, **kind.view(cell)}
 
 
+# `inspect --json` is the text of json.dumps(document, indent=2), written one
+# block at a time. A cell sits five levels deep: "blocks", its block, "rows",
+# its row and itself.
+_CELL_INDENT = " " * 10
+_BLOCK_JSON = (
+    '    {{\n      "orders": [\n        {},\n        {},\n        {},\n        {}\n      ],'
+    '\n      "rows": [\n        [\n{}\n        ]\n      ]\n    }}'
+)
+_ROW_BREAK = "\n        ],\n        [\n"
+
+
+@functools.lru_cache(maxsize=4096)
+def _cell_json(cell) -> str:
+    """A cell's JSON object, indented to its depth in `inspect --json`;
+    bounded, so memory does not grow with the file."""
+    text = json.dumps(_cell_view(cell), indent=2)
+    return _CELL_INDENT + text.replace("\n", "\n" + _CELL_INDENT)
+
+
+def _write_inspect_json(msg: container.CipherMessage) -> None:
+    write = sys.stdout.write
+    write(f'{{\n  "sticky_rounds": {msg.sticky_rounds},\n  "tail_bits": {msg.tail_bits},\n  "blocks": [\n')
+    separator = ""
+    for g in msg.grids:
+        rows = _ROW_BREAK.join(",\n".join(map(_cell_json, row)) for row in g.rows())
+        write(separator + _BLOCK_JSON.format(*g.orders, rows))
+        separator = ",\n"
+    write("\n  ]\n}\n")
+
+
 def _render_grid(grid: CipherGrid) -> str:
     headers = ["Order", "ASM(h)", "ASM(v)", "RM", "SM", "TM"]
     rows = []
@@ -192,18 +223,7 @@ def _render_grid(grid: CipherGrid) -> str:
 def _cmd_inspect(args) -> int:
     msg = container.read_cipher(_read_file(args.cipher))
     if args.json:
-        payload = {
-            "sticky_rounds": msg.sticky_rounds,
-            "tail_bits": msg.tail_bits,
-            "blocks": [
-                {
-                    "orders": list(g.orders),
-                    "rows": [[_cell_view(c) for c in row] for row in g.rows()],
-                }
-                for g in msg.grids
-            ],
-        }
-        print(json.dumps(payload, indent=2))
+        _write_inspect_json(msg)
     else:
         print(f"blocks: {len(msg.grids)}  sticky rounds: {msg.sticky_rounds}  tail bits: {msg.tail_bits}")
         for i, g in enumerate(msg.grids):
@@ -262,6 +282,12 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_analyze_bruteforce(args) -> int:
+    if not 1 <= args.restricted_bits <= analysis.MAX_RESTRICTED_BITS:
+        raise UsageError(
+            f"--restricted-bits must be in [1, {analysis.MAX_RESTRICTED_BITS}], got {args.restricted_bits}"
+        )
+    if args.harden_every < 0:
+        raise UsageError(f"--harden-every must be at least 0, got {args.harden_every}")
     rng = random.Random(args.seed)
     chain = KeyChain(base=generate_key(rng))
     block = analysis.demo_block(rng)
@@ -281,6 +307,8 @@ def _cmd_analyze_bruteforce(args) -> int:
 def _cmd_analyze_compression(args) -> int:
     if args.count < 1:
         raise UsageError(f"--count must be at least 1, got {args.count}")
+    if not 0 <= args.stay <= 1:
+        raise UsageError(f"--stay must be in [0, 1], got {args.stay}")
     rng = random.Random(args.seed)
     chain = KeyChain(base=generate_key(rng))
     asm, _, _ = derive_material(chain.base)
@@ -303,6 +331,8 @@ def _cmd_analyze_compression(args) -> int:
 
 
 def _cmd_analyze_avalanche(args) -> int:
+    if args.samples < 100:
+        raise UsageError(f"--samples must be at least 100, got {args.samples}")
     rng = random.Random(args.seed)
     if args.key:
         chain = _load_chain(args.key)

@@ -153,6 +153,25 @@ def test_analyze_compression_count_below_one_is_usage_error(capsys):
         assert "--count must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bruteforce", "--restricted-bits", "0"], "--restricted-bits must be in [1, 24]"),
+        (["bruteforce", "--restricted-bits", "25"], "--restricted-bits must be in [1, 24]"),
+        (["bruteforce", "--restricted-bits", "4", "--harden-every", "-1"], "--harden-every must be at least 0"),
+        (["compression", "--stay", "1.5"], "--stay must be in [0, 1]"),
+        (["compression", "--biased", "--stay", "-0.1"], "--stay must be in [0, 1]"),
+        (["avalanche", "--samples", "99"], "--samples must be at least 100"),
+        (["avalanche", "--samples", "0"], "--samples must be at least 100"),
+    ],
+)
+def test_analyze_out_of_range_values_are_usage_errors(capsys, argv, message):
+    assert main(["analyze", *argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err
+
+
 def test_missing_and_malformed_files_exit_3(tmp_path, golden_key_file):
     assert main(["encrypt", "--key", str(tmp_path / "nope"), "--in", str(tmp_path / "x"), "--out", str(tmp_path / "y")]) == 3
     junk = tmp_path / "junk.cmc"

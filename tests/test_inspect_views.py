@@ -7,6 +7,11 @@ short payload whose blocks lack some primes, so that empty cells appear. A
 change to how cells are held in memory must keep every digest without
 editing the file.
 
+Beside the lock, a differential test compares the streamed `inspect --json`
+with the whole-document builder it replaced, byte for byte, and the
+streaming edges are checked: a malformed file prints nothing, and a reader
+that closes the pipe early is not an error.
+
 Regenerate (only for a change that means to alter the inspect output):
 
     PYTHONPATH=src python tests/test_inspect_views.py
@@ -16,13 +21,16 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import cryptompress as cm
-from cryptompress import container
+from cryptompress import cli, container
 from cryptompress.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -84,6 +92,95 @@ def test_cases_cover_hardening_and_empty_cells(tmp_path):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_inspect_views_match_lock(locked, tmp_path, name):
     assert _digests(tmp_path, name) == locked[name]
+
+
+def _whole_document_json(data: bytes) -> bytes:
+    """The oracle: `inspect --json` as one document built in memory, then
+    dumped in one call."""
+    msg = container.read_cipher(data)
+    payload = {
+        "sticky_rounds": msg.sticky_rounds,
+        "tail_bits": msg.tail_bits,
+        "blocks": [
+            {
+                "orders": list(g.orders),
+                "rows": [[cli._cell_view(c) for c in row] for row in g.rows()],
+            }
+            for g in msg.grids
+        ],
+    }
+    return (json.dumps(payload, indent=2) + "\n").encode()
+
+
+def _random_chain_file(depth: int, size: int) -> bytes:
+    rng = random.Random(depth)
+    chain = cm.KeyChain(cm.generate_key(rng), tuple(rng.getrandbits(32) for _ in range(depth)))
+    msg = cm.segment_message(rng.randbytes(size))
+    grids = tuple(cm.encrypt_block(b, chain) for b in msg.blocks)
+    return container.write_cipher(container.CipherMessage(grids=grids, tail_bits=msg.tail_bits))
+
+
+# name -> cipher file bytes
+DIFFERENTIAL = {
+    "depth0": lambda: _random_chain_file(0, 301),
+    "depth1": lambda: _random_chain_file(1, 302),
+    "depth8": lambda: _random_chain_file(8, 303),
+    "hardened_twice": lambda: _cipher_file(*CASES["hardened_twice"]),
+    "sparse_primes": lambda: _cipher_file(*CASES["sparse_primes"]),
+    # enough random blocks that the distinct cells outnumber the memo
+    "memo_eviction": lambda: _random_chain_file(0, 16384),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
+def test_streamed_json_matches_whole_document(tmp_path, name):
+    data = DIFFERENTIAL[name]()
+    path = tmp_path / "c.cmc"
+    path.write_bytes(data)
+    cli._cell_json.cache_clear()
+    assert _inspect_stdout(path, "--json") == _whole_document_json(data)
+    if name == "memo_eviction":
+        memo = cli._cell_json.cache_info()
+        distinct = {c for g in container.read_cipher(data).grids for c in g.cells}
+        assert len(distinct) > memo.maxsize == memo.currsize
+
+
+def _last_block_offset(data: bytes) -> int:
+    msg = container.read_cipher(data)
+    return len(container.write_cipher(container.CipherMessage(msg.grids[:-1], msg.tail_bits)))
+
+
+@pytest.mark.parametrize("fault, message", [("truncated", "need 1 bytes"), ("bad_tag", "unknown cell tag 9")])
+def test_malformed_file_prints_nothing_and_exits_3(tmp_path, capsys, fault, message):
+    data = bytearray(_random_chain_file(0, 301))
+    if fault == "truncated":
+        del data[-3:]
+    else:
+        data[_last_block_offset(bytes(data)) + 2] = 9  # the last block's first cell tag
+    path = tmp_path / "c.cmc"
+    path.write_bytes(bytes(data))
+    assert main(["inspect", "--cipher", str(path), "--json"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err
+
+
+def test_reader_closing_the_pipe_early_is_not_an_error(tmp_path):
+    path = tmp_path / "c.cmc"
+    path.write_bytes(_random_chain_file(0, 2048))
+    env = dict(os.environ, PYTHONPATH=str(Path(cm.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cryptompress.cli", "inspect", "--cipher", str(path), "--json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert head.startswith(b'{\n  "sticky_rounds": 0,')
+    assert b"Traceback" not in stderr and b"Error" not in stderr, stderr
 
 
 if __name__ == "__main__":
