@@ -9,6 +9,7 @@ to_dict for JSON/CSV emission.
 import random
 import time
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 
 from . import codec
 from .cipher import CipherGrid, decrypt_block, encrypt_block, harden_message
@@ -90,7 +91,17 @@ def _candidate_chain(base: BaseKey, low_bits: int, value: int, sticky: tuple[int
     """The true base key with its lowest `low_bits` bits replaced; with at
     most MAX_RESTRICTED_BITS of them, only the SM key changes."""
     sm_key = (base.sm_key >> low_bits << low_bits) | value
-    return KeyChain(base=BaseKey(base.asm_key, base.rm_key, base.tm_key, sm_key), sticky=sticky)
+    return KeyChain(BaseKey(base.asm_key, base.rm_key, base.tm_key, sm_key), sticky)
+
+
+@lru_cache(maxsize=1)
+def _sweep_order(restricted_bits: int, seed: int) -> tuple[tuple[int, ...], tuple]:
+    """The seed-shuffled candidate order and the rng state after the
+    shuffle, kept for the paired baseline and hardened sweeps."""
+    order = list(range(1 << restricted_bits))
+    rng = random.Random(seed)
+    rng.shuffle(order)
+    return tuple(order), rng.getstate()
 
 
 def bruteforce_demo(
@@ -117,10 +128,10 @@ def bruteforce_demo(
         raise InvalidKeyspace(f"restricted_bits capped at {MAX_RESTRICTED_BITS}")
     if restricted_bits < 1:
         raise InvalidKeyspace("restricted_bits must be at least 1")
-    start = time.perf_counter()
-    order = list(range(1 << restricted_bits))
-    rng = random.Random(seed)
-    rng.shuffle(order)
+    order, state = _sweep_order(restricted_bits, seed)
+    rng = random.Random()
+    rng.setstate(state)
+    start = time.perf_counter()  # after the shuffle, which the paired sweeps share
     stale_sticky = chain.sticky
     live_grid, live_chain = grid, chain
     attempts = 0

@@ -11,37 +11,27 @@ A key chain is compiled once (compile_key). Each sticky round maps a
 stored (S, R) pair to (R xor k_r, S xor k_s), so the base XOR and every
 sticky round compose into one XOR with a 32-bit mask plus a swap when the
 chain's depth is odd; the 20 swaps of the scramble compose into one slot
-table.
+table. The mask is the only part of the key that depends on the XOR word
+or the sticky words; the rest is built once per base key structure.
 """
 
 import random
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
+from operator import itemgetter
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import codec
-from .engine import (
-    AddSubMatrix,
-    CompressedBlock,
-    SequenceEvent,
-    SequenceMatrix,
-    compress_block,
-    decompress_block,
-)
+from .engine import AddSubMatrix, CompressedBlock, compress_block, decompress_block
 from .errors import (
     IncompleteGrid,
     IntegrityFailure,
     RoundCountMismatch,
     ValueOutOfRange,
 )
-from .keyschedule import (
-    KeyChain,
-    NibbleTable,
-    derive_material,
-    extend_key,
-    sticky_nibbles,
-)
+from .keyschedule import BaseKey, KeyChain, NibbleTable, derive_material, extend_key, sticky_nibbles
 
 PRIMES = codec.PRIMES
 N_KINDS = 5
@@ -152,12 +142,15 @@ def check_rounds(rounds: int, chain: KeyChain) -> None:
 class CompiledKey(NamedTuple):
     """What a key chain contributes to every block, derived once.
 
-    `slots[i]` is where logical cell i sits in the scrambled grid. `mask`
-    holds one byte per prime (2,3,5,7 from the MSB), S nibble high: a
-    stored pair is the plain pair, swapped when `swap`, XORed with its
-    prime's byte."""
+    `deltas` is the Add-Sub Matrix as a table by prime index, and
+    `slots[i]` is where logical cell i sits in the scrambled grid; these
+    and `asm` are shared by every chain with the same base key outside its
+    XOR word. `mask` holds one byte per prime (2,3,5,7 from the MSB), S
+    nibble high: a stored pair is the plain pair, swapped when `swap`,
+    XORed with its prime's byte."""
 
     asm: AddSubMatrix
+    deltas: tuple[tuple[int, ...], ...]
     slots: tuple[int, ...]
     mask: int
     swap: bool
@@ -168,7 +161,6 @@ def _nswap(word: int) -> int:
     return ((word >> 4) & 0x0F0F0F0F) | ((word & 0x0F0F0F0F) << 4)
 
 
-@lru_cache(maxsize=256)
 def _slot_table(table: NibbleTable) -> tuple[int, ...]:
     """Compose the 20 fixed transpositions the placement table defines
     (each kind hands one cell per slot to the next kind in the cycle, at
@@ -184,15 +176,28 @@ def _slot_table(table: NibbleTable) -> tuple[int, ...]:
     return tuple(slots)
 
 
+@lru_cache(maxsize=1)
+def _structure(asm_key: int, rm_key: int, tm_key: int, sm_arrangement: int) -> tuple:
+    """The key's structure (asm, deltas, slots), memoised on the only key
+    words it reads. Every brute-force candidate, which differs from the
+    true key in the XOR word only, and every chain grown from one base key
+    share it, so one entry serves; compile_key's own cache covers chains
+    that alternate."""
+    asm, table, _ = derive_material(BaseKey(asm_key, rm_key, tm_key, sm_arrangement << 32))
+    return asm, asm.deltas, _slot_table(table)
+
+
 @lru_cache(maxsize=64)
 def compile_key(chain: KeyChain) -> CompiledKey:
     """Fold the base XOR word and the sticky words, oldest first, into one
     mask: m = base; m = nswap(m ^ w) per word."""
-    asm, table, _ = derive_material(chain.base)
-    mask = chain.base.xor_word
-    for word in chain.sticky:
+    base, sticky = chain
+    mask = base.xor_word
+    for word in sticky:
         mask = _nswap(mask ^ word)
-    return CompiledKey(asm, _slot_table(table), mask, len(chain.sticky) % 2 == 1)
+    return CompiledKey(
+        *_structure(base.asm_key, base.rm_key, base.tm_key, base.sm_key >> 32), mask, len(sticky) % 2 == 1
+    )
 
 
 def _pair_mask(mask: int, prime_index: int) -> tuple[int, int]:
@@ -206,17 +211,6 @@ def seal_pairs(pairs, key: CompiledKey, prime_index: int) -> tuple[tuple[int, in
     if key.swap:
         return tuple((r ^ ms, s ^ mr) for s, r in pairs)
     return tuple((s ^ ms, r ^ mr) for s, r in pairs)
-
-
-def open_pairs(pairs, key: CompiledKey, prime_index: int) -> list[SequenceEvent]:
-    """Inverse of seal_pairs; rejects values that do not fit a nibble."""
-    ms, mr = _pair_mask(key.mask, prime_index)
-    out = []
-    for a, b in pairs:
-        if not (0 <= a <= 15 and 0 <= b <= 15):
-            raise ValueOutOfRange(f"prime {PRIMES[prime_index]}: ({a},{b}) does not fit a nibble")
-        out.append(SequenceEvent(b ^ mr, a ^ ms) if key.swap else SequenceEvent(a ^ ms, b ^ mr))
-    return out
 
 
 def sticky_round(pairs, k_s: int, k_r: int) -> tuple[tuple[int, int], ...]:
@@ -272,41 +266,6 @@ def logical_cells(key: CompiledKey, cb: CompressedBlock) -> tuple[Cell, ...]:
     return _asm_cells(key.asm.orders) + data_cells(cb, key)
 
 
-def _split_logical(cells: Sequence[Cell], key: CompiledKey) -> CompressedBlock:
-    """Inverse of logical_cells for the decrypt path; raises
-    IntegrityFailure when a slot holds a cell of the wrong kind.
-
-    The matrix-string columns carry their own placement witness: a string
-    cell's X mark sits on the diagonal, so x_pos must equal the slot it
-    occupies. Checking that needs no key material and catches scramble
-    misplacement that would otherwise be invisible (these two columns are
-    never consulted while restoring the block)."""
-    for kind in (0, 1):
-        for i in range(N_SLOTS):
-            c = cells[kind * N_SLOTS + i]
-            if c[0] != ASM:
-                raise IntegrityFailure(f"matrix-string slot ({kind},{i}) holds {KINDS[c[0]].name}")
-            if c[1] != i:
-                raise IntegrityFailure(f"matrix-string cell at slot {i} marks position {c[1]}")
-    rm = {}
-    for i, p in enumerate(PRIMES):
-        c = cells[2 * N_SLOTS + i]
-        if c[0] not in (RM, EMPTY):
-            raise IntegrityFailure(f"outcome slot for prime {p} holds {KINDS[c[0]].name}")
-        rm[p] = c[1] if c[0] == RM else None
-        s = cells[SM_BASE + i]
-        if s[0] != SM:
-            raise IntegrityFailure(f"sequence slot for prime {p} holds {KINDS[s[0]].name}")
-    tm: list[Optional[tuple[int, int]]] = []
-    for i in range(N_SLOTS):
-        c = cells[4 * N_SLOTS + i]
-        if c[0] not in (TM, EMPTY):
-            raise IntegrityFailure(f"term slot {i} holds {KINDS[c[0]].name}")
-        tm.append((PRIMES[c[1]], c[2]) if c[0] == TM else None)
-    sm: SequenceMatrix = {p: open_pairs(cells[SM_BASE + i][1], key, i) for i, p in enumerate(PRIMES)}
-    return CompressedBlock(rm=rm, sm=sm, tm=tuple(tm))
-
-
 def encrypt_block(block: int, chain: KeyChain) -> CipherGrid:
     """Encrypt one 30-bit block under the full key chain."""
     key = compile_key(chain)
@@ -318,14 +277,56 @@ def encrypt_block(block: int, chain: KeyChain) -> CipherGrid:
     )
 
 
+# The slot checks of an unscrambled grid. The matrix strings carry a
+# placement witness that needs no key: a string's X mark sits on the
+# diagonal, so its x_pos is its slot. The 12 data slots hold m outcomes,
+# four sequence lists and m term pairs, m = 1..4, in one of these tag
+# patterns; with right-kind slots, exactly these grids pass the inventory.
+_ASM_HEADS = [(ASM, i % N_SLOTS) for i in range(2 * N_SLOTS)]
+_DATA_TAGS = frozenset(
+    tuple(RM if i in r else EMPTY for i in range(N_SLOTS)) + (SM,) * N_SLOTS
+    + tuple(TM if i in t else EMPTY for i in range(N_SLOTS))
+    for m in range(1, N_SLOTS + 1)
+    for r in combinations(range(N_SLOTS), m)
+    for t in combinations(range(N_SLOTS), m)
+)
+_CODES = frozenset(range(len(PRIMES)))
+_tag = itemgetter(0)
+
+
 def decrypt_block(grid: CipherGrid, chain: KeyChain) -> int:
-    """Invert encrypt_block. Raises RoundCountMismatch when the chain's
-    sticky depth disagrees with the grid, IntegrityFailure when the
-    reconstruction checks fail (wrong key or tampered ciphertext)."""
+    """Invert encrypt_block in one pass: gather the logical cells, check
+    every slot's kind, unmask the sequence pairs and rebuild the block.
+
+    Raises, first match wins: RoundCountMismatch when the chain's sticky
+    depth disagrees with the grid; IncompleteGrid when the cells are not
+    the 20 logical items; IntegrityFailure when a slot holds the wrong
+    kind (wrong key or tampered ciphertext); ValueOutOfRange when an
+    in-memory sequence pair does not fit a nibble; IntegrityFailure when
+    the rebuild or the RM checksum fails.
+    """
     check_rounds(grid.sticky_rounds, chain)
     key = compile_key(chain)
-    cb = _split_logical(unscramble(grid.cells, key.slots), key)
-    return codec.symbols_to_block(decompress_block(cb, key.asm))
+    cells = grid.cells
+    if len(cells) != N_CELLS:
+        _check_inventory(cells, IncompleteGrid)
+    c = [cells[j] for j in key.slots]
+    heads = [cell[:2] for cell in c[: 2 * N_SLOTS]]
+    if heads != _ASM_HEADS or tuple(map(_tag, c[2 * N_SLOTS :])) not in _DATA_TAGS:
+        _check_inventory(cells, IncompleteGrid)  # an inventory fault outranks a slot fault
+        raise IntegrityFailure("a slot holds the wrong kind, or a matrix string marks the wrong position")
+    rm = [r[1] if r[0] == RM else None for r in c[2 * N_SLOTS : SM_BASE]]
+    tm = [t[1:] if t[0] == TM else None for t in c[4 * N_SLOTS :]]
+    if not _CODES.issuperset([t[0] for t in tm if t]):
+        raise IntegrityFailure(f"a term cell names no prime: {tm}")
+    sm: list[Sequence[tuple[int, int]]] = []
+    for i, (_, pairs) in enumerate(c[SM_BASE : 4 * N_SLOTS]):
+        ms, mr = _pair_mask(key.mask, i)
+        for a, b in pairs:
+            if (a | b) >> 4:
+                raise ValueOutOfRange(f"prime {PRIMES[i]}: ({a},{b}) does not fit a nibble")
+        sm.append([(b ^ mr, a ^ ms) for a, b in pairs] if key.swap else [(a ^ ms, b ^ mr) for a, b in pairs])
+    return codec.symbols_to_block(decompress_block(rm, sm, tm, key.deltas))
 
 
 def harden_message(

@@ -1,6 +1,6 @@
 """Compression engine: the target traversal that turns a 15-symbol block
 into Reduced/Sequence/Term matrices under an Add-Sub Matrix, and the
-inverse reconstruction.
+inverse: a rebuild from SM and TM alone, checked against RM.
 
 One traversal: the first cell's prime becomes the target. A cursor starts
 on that cell carrying the target's own value and walks right. A maximal
@@ -13,6 +13,7 @@ residual is empty.
 """
 
 from dataclasses import dataclass
+from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .codec import PRIME_INDEX, PRIMES, SYMBOLS_PER_BLOCK
@@ -37,6 +38,11 @@ class AddSubMatrix:
     def delta(self, target: int, crossed: int) -> int:
         bit = (self.orders[PRIME_INDEX[target]] >> (3 - PRIME_INDEX[crossed])) & 1
         return 1 if bit else -1
+
+    @property
+    def deltas(self) -> tuple[tuple[int, ...], ...]:
+        """The whole table by prime index: deltas[t][c] == delta(PRIMES[t], PRIMES[c])."""
+        return tuple(tuple(2 * ((o >> (3 - c)) & 1) - 1 for c in range(4)) for o in self.orders)
 
 
 class SequenceEvent(NamedTuple):
@@ -143,91 +149,61 @@ def compress_block(
     return CompressedBlock(rm=rm, sm=sm, tm=tuple(slots))
 
 
-def _validate_events(prime: int, events: Sequence[SequenceEvent], last_seq: int) -> dict[int, int]:
-    """Shape-check one prime's event list as seen on the decrypt path.
+def decompress_block(
+    rm: Sequence[Optional[int]],
+    sm: Sequence[Sequence[tuple[int, int]]],
+    tm: Sequence[Optional[tuple[int, int]]],
+    deltas: Sequence[Sequence[int]],
+) -> tuple[int, ...]:
+    """Rebuild the 15-symbol block; exact inverse of compress_block for
+    honest inputs. Every matrix is indexed by prime index (0..3 for
+    2,3,5,7): rm[i] is the outcome or None, sm[i] the (seq, redundant)
+    events, each term slot None or (prime index, last_seq), and
+    deltas[t][c] the Add-Sub Matrix entry.
 
-    Wrong keys produce arbitrary nibble pairs here; anything the forward
-    traversal could never emit is an integrity failure.
+    The structure comes from TM and SM alone. Term slots are replayed left
+    to right, each target placed in front of the cells of the targets
+    processed after it: its events put its absorbed runs among those cells
+    and every other sequence number crosses one of them, so the crossings
+    must number exactly the cells already placed. RM is then a keyed
+    checksum: the compressor's cursor crosses each placed cell once, so a
+    target's outcome must be t*count(t) plus the sum of deltas[t][c] over
+    the placed cells. Any other state means wrong key or tampering.
     """
-    by_seq: dict[int, int] = {}
-    prev = 0
-    for seq, redundant in events:
-        if seq <= prev:
-            raise IntegrityFailure(f"prime {prime}: sequence numbers not increasing")
-        if not 1 <= seq <= 14 or not 1 <= redundant <= 14:
-            raise IntegrityFailure(f"prime {prime}: event ({seq},{redundant}) out of range")
-        if seq > last_seq:
-            raise IntegrityFailure(f"prime {prime}: event past last sequence number {last_seq}")
-        by_seq[seq] = redundant
-        prev = seq
-    return by_seq
-
-
-def decompress_block(cb: CompressedBlock, asm: AddSubMatrix) -> tuple[int, ...]:
-    """Rebuild the 15-symbol block from RM/SM/TM; exact inverse of
-    compress_block for honest inputs.
-
-    Term slots are replayed left to right. Each target's cursor starts at
-    the right end of the partial block carrying the stored outcome and
-    walks the sequence numbers backwards: recorded events re-insert the
-    absorbed cells and subtract their sum, everything else is an inverse
-    crossing subtracting the matrix delta of the cell left of the cursor.
-    The cursor must come to rest at position 0 holding exactly the
-    target's value; any other end state means wrong key or tampering.
-    """
-    occupied: list[tuple[int, int]] = []
-    seen_empty = False
-    for slot in cb.tm:
-        if slot is None:
-            seen_empty = True
-        else:
-            if seen_empty:
-                raise IntegrityFailure("term slots are not a left prefix")
-            occupied.append(slot)
-    if not occupied:
-        raise IntegrityFailure("no term slots occupied")
-    primes_in_tm = [p for p, _ in occupied]
-    if any(p not in PRIME_INDEX for p in primes_in_tm):
-        raise IntegrityFailure("term slot names a non-prime target")
-    if len(set(primes_in_tm)) != len(primes_in_tm):
-        raise IntegrityFailure("duplicate prime in term slots")
-    for p in PRIMES:
-        present = p in primes_in_tm
-        if present and cb.rm.get(p) is None:
-            raise IntegrityFailure(f"prime {p} has a term slot but no outcome")
-        if not present and cb.rm.get(p) is not None:
-            raise IntegrityFailure(f"prime {p} has an outcome but no term slot")
-        if not present and cb.sm.get(p):
-            raise IntegrityFailure(f"prime {p} has events but no term slot")
-
+    occupied = [slot for slot in tm if slot is not None]
+    if None in tm[: len(occupied)]:
+        raise IntegrityFailure(f"term slots {tuple(tm)} are not a left prefix")
     block: list[int] = []
-    for target, last_seq in occupied:
-        # last_seq 0 is honest: a last-processed prime occurring once
-        # traverses in zero steps. The cursor checks below still apply.
-        if last_seq < 0:
-            raise IntegrityFailure(f"prime {target}: negative last sequence number")
-        by_seq = _validate_events(target, cb.sm.get(target, []), last_seq)
-        value = cb.rm[target]
-        cursor = len(block)
-        for n in range(last_seq, 0, -1):
-            if n in by_seq:
-                r = by_seq[n]
-                value -= r * target
-                block[cursor:cursor] = [target] * r
-                if len(block) >= SYMBOLS_PER_BLOCK:
-                    raise IntegrityFailure("reconstruction exceeds block size")
-            else:
-                if cursor == 0:
-                    raise IntegrityFailure(
-                        f"prime {target}: inverse crossing with no cell to the left"
-                    )
-                cursor -= 1
-                value -= asm.delta(target, block[cursor])
-        if cursor != 0 or value != target:
+    counts = [0] * len(PRIMES)
+    n_events = 0
+    for t, last_seq in occupied:
+        events = sm[t]
+        placed = len(block)
+        if counts[t]:
+            raise IntegrityFailure(f"prime {PRIMES[t]} holds two term slots")
+        if last_seq - len(events) != placed:
             raise IntegrityFailure(
-                f"prime {target}: cursor ended at {cursor} with value {value}"
+                f"prime {PRIMES[t]}: {last_seq - len(events)} crossings over {placed} placed cells"
             )
-        block.insert(0, target)
+        rebuilt = [t]
+        prev = pos = 0
+        for seq, run in events:
+            if not (prev < seq <= last_seq and seq < SYMBOLS_PER_BLOCK and 0 < run < SYMBOLS_PER_BLOCK):
+                raise IntegrityFailure(f"prime {PRIMES[t]}: event ({seq},{run}) out of order or range")
+            rebuilt += block[pos : pos + seq - prev - 1]
+            rebuilt += [t] * run
+            pos += seq - prev - 1
+            prev = seq
+        rebuilt += block[pos:]
+        if rm[t] != PRIMES[t] * (len(rebuilt) - placed) + sum(map(mul, deltas[t], counts)):
+            raise IntegrityFailure(f"prime {PRIMES[t]}: outcome {rm[t]} fails the checksum")
+        counts[t] = len(rebuilt) - placed
+        n_events += len(events)
+        block = rebuilt
     if len(block) != SYMBOLS_PER_BLOCK:
         raise IntegrityFailure(f"reconstructed {len(block)} symbols, expected 15")
-    return tuple(block)
+    # Every target passed the checksum, so it has an outcome; the counts
+    # match only if no other prime has an outcome or events.
+    if rm.count(None) != len(PRIMES) - len(occupied) or sum(map(len, sm)) != n_events:
+        raise IntegrityFailure("a prime without a term slot has an outcome or events")
+    return tuple(map(PRIMES.__getitem__, block))

@@ -14,7 +14,8 @@ Failed-attempt hardening appends 32-bit sticky keys, one per round.
 """
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .engine import AddSubMatrix
 from .errors import EntropyUnavailable, WrongLength
@@ -51,8 +52,7 @@ class XorSubkeys:
     values: tuple[int, int, int, int, int, int, int, int]
 
 
-@dataclass(frozen=True)
-class BaseKey:
+class BaseKey(NamedTuple):
     asm_key: int  # 48 bits
     rm_key: int  # 16 bits
     tm_key: int  # 16 bits
@@ -86,12 +86,11 @@ class BaseKey:
         return self.sm_key & 0xFFFFFFFF
 
 
-@dataclass(frozen=True)
-class KeyChain:
+class KeyChain(NamedTuple):
     """Base key plus the sticky keys appended by hardening, oldest first."""
 
     base: BaseKey
-    sticky: tuple[int, ...] = field(default_factory=tuple)
+    sticky: tuple[int, ...] = ()
 
     @property
     def key_bits(self) -> int:

@@ -27,6 +27,35 @@ def test_exhaustive_search_succeeds_without_hardening():
     assert report.hardenings_triggered == 0
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_paired_sweeps_share_one_shuffle(seed, monkeypatch):
+    """The hardened sweep reuses the baseline's shuffled order and the rng
+    state after it: reports and the grown chain match sweeps that each
+    shuffle afresh."""
+    chain, block, grid = demo_setup(seed)
+    grown = []
+    harden = analysis.harden_message
+
+    def spy(grids, live_chain, rng):
+        out = harden(grids, live_chain, rng)
+        grown.append(out[1])
+        return out
+
+    monkeypatch.setattr(analysis, "harden_message", spy)
+
+    def sweep(harden_every, fresh):
+        if fresh:
+            analysis._sweep_order.cache_clear()
+        grown.clear()
+        r = analysis.bruteforce_demo(grid, chain, block, 10, harden_every, seed)
+        return r.attempts_made, r.hardenings_triggered, r.success, grown[-1] if grown else None
+
+    paired = [sweep(0, True), sweep(20, False), sweep(20, False)]
+    independent = [sweep(0, True), sweep(20, True), sweep(20, True)]
+    assert paired == independent
+    assert paired[1][1] > 0 and len(paired[1][3].sticky) == paired[1][1]
+
+
 def test_hardening_trigger_arithmetic():
     chain, block, grid = demo_setup(1)
     report = analysis.bruteforce_demo(grid, chain, block, 8, 10, seed=1)

