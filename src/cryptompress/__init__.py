@@ -17,16 +17,13 @@ from .codec import (
 from .engine import (
     AddSubMatrix,
     CompressedBlock,
-    SequenceEvent,
     compress_block,
     decompress_block,
-    traverse_target,
 )
 from .keyschedule import (
     BaseKey,
     KeyChain,
     NibbleTable,
-    XorSubkeys,
     derive_material,
     extend_key,
     generate_key,
@@ -36,8 +33,6 @@ from .cipher import (
     decrypt_block,
     encrypt_block,
     harden_message,
-    scramble,
-    unscramble,
 )
 from .container import (
     CipherMessage,
@@ -59,14 +54,11 @@ __all__ = [
     "reassemble_message",
     "AddSubMatrix",
     "CompressedBlock",
-    "SequenceEvent",
     "compress_block",
     "decompress_block",
-    "traverse_target",
     "BaseKey",
     "KeyChain",
     "NibbleTable",
-    "XorSubkeys",
     "derive_material",
     "extend_key",
     "generate_key",
@@ -74,8 +66,6 @@ __all__ = [
     "encrypt_block",
     "decrypt_block",
     "harden_message",
-    "scramble",
-    "unscramble",
     "CipherMessage",
     "read_key",
     "write_key",

@@ -15,7 +15,7 @@ from . import codec
 from .cipher import CipherGrid, decrypt_block, encrypt_block, harden_message
 from .container import compressed_size_bits, write_cipher, CipherMessage
 from .engine import AddSubMatrix, compress_block
-from .errors import CryptompressError, InvalidKeyspace, ValueOutOfRange
+from .errors import CryptompressError, EmptyInput, InvalidKeyspace, ValueOutOfRange
 from .keyschedule import BaseKey, KeyChain
 
 MAX_RESTRICTED_BITS = 24
@@ -128,6 +128,8 @@ def bruteforce_demo(
         raise InvalidKeyspace(f"restricted_bits capped at {MAX_RESTRICTED_BITS}")
     if restricted_bits < 1:
         raise InvalidKeyspace("restricted_bits must be at least 1")
+    if harden_every < 0:
+        raise InvalidKeyspace(f"harden_every must be at least 0, got {harden_every}")
     order, state = _sweep_order(restricted_bits, seed)
     rng = random.Random()
     rng.setstate(state)
@@ -161,10 +163,13 @@ def bruteforce_demo(
 
 def compression_stats(blocks: list[int], asm: AddSubMatrix) -> RatioReport:
     """Sequence-event counts and serialized sizes for a batch of blocks."""
+    if not blocks:
+        raise EmptyInput("need at least one block")
+    deltas = asm.deltas
     report = RatioReport()
     for block in blocks:
-        cb = compress_block(codec.block_to_symbols(block), asm)
-        events = sum(len(v) for v in cb.sm.values())
+        cb = compress_block(block, deltas)
+        events = sum(map(len, cb.sm.values()))
         bits = compressed_size_bits(cb)
         report.entries.append(
             BlockStats(

@@ -23,7 +23,7 @@ from itertools import combinations
 from operator import itemgetter
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from . import codec
+from .codec import PRIMES
 from .engine import AddSubMatrix, CompressedBlock, compress_block, decompress_block
 from .errors import (
     IncompleteGrid,
@@ -33,7 +33,6 @@ from .errors import (
 )
 from .keyschedule import BaseKey, KeyChain, NibbleTable, derive_material, extend_key, sticky_nibbles
 
-PRIMES = codec.PRIMES
 N_KINDS = 5
 N_SLOTS = 4
 N_CELLS = N_KINDS * N_SLOTS
@@ -183,7 +182,7 @@ def _structure(asm_key: int, rm_key: int, tm_key: int, sm_arrangement: int) -> t
     true key in the XOR word only, and every chain grown from one base key
     share it, so one entry serves; compile_key's own cache covers chains
     that alternate."""
-    asm, table, _ = derive_material(BaseKey(asm_key, rm_key, tm_key, sm_arrangement << 32))
+    asm, table = derive_material(BaseKey(asm_key, rm_key, tm_key, sm_arrangement << 32))
     return asm, asm.deltas, _slot_table(table)
 
 
@@ -219,21 +218,6 @@ def sticky_round(pairs, k_s: int, k_r: int) -> tuple[tuple[int, int], ...]:
     return tuple((r ^ k_r, s ^ k_s) for s, r in pairs)
 
 
-def scramble(cells: Sequence[Cell], slots: Sequence[int]) -> tuple[Cell, ...]:
-    """Scatter the 20 logical cells to their keyed slots."""
-    _check_inventory(cells, IncompleteGrid)
-    out: list[Optional[Cell]] = [None] * N_CELLS
-    for cell, j in zip(cells, slots):
-        out[j] = cell
-    return tuple(out)
-
-
-def unscramble(cells: Sequence[Cell], slots: Sequence[int]) -> tuple[Cell, ...]:
-    """Gather the logical layout back; two-sided inverse of scramble."""
-    _check_inventory(cells, IncompleteGrid)
-    return tuple(cells[j] for j in slots)
-
-
 @lru_cache(maxsize=64)
 def _asm_cells(orders: tuple[int, int, int, int]) -> tuple[Cell, ...]:
     """The 8 matrix-string cells: the order nibbles as rows, then the
@@ -245,36 +229,27 @@ def _asm_cells(orders: tuple[int, int, int, int]) -> tuple[Cell, ...]:
 def data_cells(cb: CompressedBlock, key: Optional[CompiledKey] = None) -> tuple[Cell, ...]:
     """The 12 data cells (rm, sm, tm) a compressed block contributes, the
     sequence lists sealed under `key` when one is given."""
-    cells: list[Cell] = []
-    for p in PRIMES:
-        v = cb.rm.get(p)
-        cells.append((EMPTY,) if v is None else (RM, v))
-    for i, p in enumerate(PRIMES):
-        pairs = cb.sm.get(p, [])
-        cells.append((SM, tuple(pairs) if key is None else seal_pairs(pairs, key, i)))
-    for slot in cb.tm:
-        if slot is None:
-            cells.append((EMPTY,))
-        else:
-            prime, last_seq = slot
-            cells.append((TM, codec.PRIME_INDEX[prime], last_seq))
-    return tuple(cells)
-
-
-def logical_cells(key: CompiledKey, cb: CompressedBlock) -> tuple[Cell, ...]:
-    """Lay the 20 items out unscrambled, kind-major (asmh, asmv, rm, sm, tm)."""
-    return _asm_cells(key.asm.orders) + data_cells(cb, key)
+    rm, sm, tm = cb
+    return (
+        *[(EMPTY,) if v is None else (RM, v) for v in rm],
+        *[(SM, tuple(sm[i]) if key is None else seal_pairs(sm[i], key, i)) for i in range(N_SLOTS)],
+        *[(EMPTY,) if slot is None else (TM, *slot) for slot in tm],
+    )
 
 
 def encrypt_block(block: int, chain: KeyChain) -> CipherGrid:
-    """Encrypt one 30-bit block under the full key chain."""
+    """Encrypt one 30-bit block under the full key chain: compress it,
+    lay the 20 cells out kind-major (asmh, asmv, rm, sm, tm) with the
+    sequence lists sealed, and scatter them to their keyed slots. The
+    compressor always yields the 20 logical items, so no inventory check
+    runs here."""
     key = compile_key(chain)
-    cb = compress_block(codec.block_to_symbols(block), key.asm)
-    return CipherGrid(
-        orders=chain.base.orders,
-        cells=scramble(logical_cells(key, cb), key.slots),
-        sticky_rounds=len(chain.sticky),
-    )
+    orders = key.asm.orders
+    cells = _asm_cells(orders) + data_cells(compress_block(block, key.deltas), key)
+    out: list[Cell] = [None] * N_CELLS
+    for cell, j in zip(cells, key.slots):
+        out[j] = cell
+    return CipherGrid(orders, tuple(out), len(chain.sticky))
 
 
 # The slot checks of an unscrambled grid. The matrix strings carry a
@@ -319,14 +294,14 @@ def decrypt_block(grid: CipherGrid, chain: KeyChain) -> int:
     tm = [t[1:] if t[0] == TM else None for t in c[4 * N_SLOTS :]]
     if not _CODES.issuperset([t[0] for t in tm if t]):
         raise IntegrityFailure(f"a term cell names no prime: {tm}")
-    sm: list[Sequence[tuple[int, int]]] = []
+    sm: dict[int, list[tuple[int, int]]] = {}
     for i, (_, pairs) in enumerate(c[SM_BASE : 4 * N_SLOTS]):
         ms, mr = _pair_mask(key.mask, i)
         for a, b in pairs:
             if (a | b) >> 4:
                 raise ValueOutOfRange(f"prime {PRIMES[i]}: ({a},{b}) does not fit a nibble")
-        sm.append([(b ^ mr, a ^ ms) for a, b in pairs] if key.swap else [(a ^ ms, b ^ mr) for a, b in pairs])
-    return codec.symbols_to_block(decompress_block(rm, sm, tm, key.deltas))
+        sm[i] = [(b ^ mr, a ^ ms) for a, b in pairs] if key.swap else [(a ^ ms, b ^ mr) for a, b in pairs]
+    return decompress_block(rm, sm, tm, key.deltas)
 
 
 def harden_message(

@@ -244,19 +244,19 @@ def _render_asm_table(asm) -> str:
 
 def _cmd_trace(args) -> int:
     chain = _load_chain(args.key)
-    asm, _, _ = derive_material(chain.base)
+    asm, _ = derive_material(chain.base)
     block = _parse_block_arg(args.block)
     steps: list[TraceStep] = []
-    cb = compress_block(codec.block_to_symbols(block), asm, trace=steps)
-    tm_list = [None if s is None else list(s) for s in cb.tm]
+    rm, sm, tm = compress_block(block, asm.deltas, trace=steps)
+    tm = [None if s is None else [PRIMES[s[0]], s[1]] for s in tm]
     if args.json:
         payload = {
             "block": f"{block:08x}",
             "symbols": list(codec.block_to_symbols(block)),
             "steps": [s._asdict() for s in steps],
-            "rm": {str(p): cb.rm[p] for p in PRIMES},
-            "sm": {str(p): [list(e) for e in cb.sm[p]] for p in PRIMES},
-            "tm": tm_list,
+            "rm": {str(p): rm[i] for i, p in enumerate(PRIMES)},
+            "sm": {str(p): [list(e) for e in sm[i]] for i, p in enumerate(PRIMES)},
+            "tm": tm,
         }
         print(json.dumps(payload, indent=2))
         return 0
@@ -274,9 +274,9 @@ def _cmd_trace(args) -> int:
     print()
     print("Target  SM                     RM    TM")
     for i, p in enumerate(PRIMES):
-        sm_text = " ; ".join(f"{a}|{b}" for a, b in cb.sm[p]) or "-"
-        tm_text = f"{cb.tm[i][0]}|{cb.tm[i][1]}" if cb.tm[i] else "-"
-        rm_text = str(cb.rm[p]) if cb.rm[p] is not None else "-"
+        sm_text = " ; ".join(f"{a}|{b}" for a, b in sm[i]) or "-"
+        tm_text = f"{tm[i][0]}|{tm[i][1]}" if tm[i] else "-"
+        rm_text = str(rm[i]) if rm[i] is not None else "-"
         print(f"{p}       {sm_text:22} {rm_text:5} {tm_text}")
     return 0
 
@@ -311,7 +311,7 @@ def _cmd_analyze_compression(args) -> int:
         raise UsageError(f"--stay must be in [0, 1], got {args.stay}")
     rng = random.Random(args.seed)
     chain = KeyChain(base=generate_key(rng))
-    asm, _, _ = derive_material(chain.base)
+    asm, _ = derive_material(chain.base)
     if args.biased:
         blocks = analysis.biased_blocks(args.count, args.seed, args.stay)
     else:

@@ -1,6 +1,7 @@
-"""Compression engine: the target traversal that turns a 15-symbol block
+"""Compression engine: the target traversal that turns a 30-bit block
 into Reduced/Sequence/Term matrices under an Add-Sub Matrix, and the
-inverse: a rebuild from SM and TM alone, checked against RM.
+inverse: a rebuild from SM and TM alone, checked against RM. Both work on
+prime indices (0..3 for 2,3,5,7), the block's own bit pairs.
 
 One traversal: the first cell's prime becomes the target. A cursor starts
 on that cell carrying the target's own value and walks right. A maximal
@@ -13,11 +14,11 @@ residual is empty.
 """
 
 from dataclasses import dataclass
-from operator import mul
-from typing import NamedTuple, Optional, Sequence
+from operator import lshift, mul
+from typing import Mapping, NamedTuple, Optional, Sequence
 
-from .codec import PRIME_INDEX, PRIMES, SYMBOLS_PER_BLOCK
-from .errors import EmptyResidual, IntegrityFailure, ValueOutOfRange
+from .codec import BLOCK_BITS, PRIME_INDEX, PRIMES, SYMBOLS_PER_BLOCK
+from .errors import IntegrityFailure, ValueOutOfRange, WrongLength
 
 
 @dataclass(frozen=True)
@@ -45,33 +46,16 @@ class AddSubMatrix:
         return tuple(tuple(2 * ((o >> (3 - c)) & 1) - 1 for c in range(4)) for o in self.orders)
 
 
-class SequenceEvent(NamedTuple):
-    seq: int
-    redundant: int
+class CompressedBlock(NamedTuple):
+    """One compressed block, every matrix by prime index (0..3 for
+    2,3,5,7): rm[i] is prime i's outcome or None when the prime is
+    absent, sm[i] its (seq, run) events, and each of the four term slots
+    None or (prime index, last_seq). Occupied term slots are a left prefix
+    in reverse processing order."""
 
-
-# SequenceMatrix: {prime: [SequenceEvent, ...]}, all four primes keyed.
-SequenceMatrix = dict[int, list[SequenceEvent]]
-# ReducedMatrix: {prime: outcome or None when the prime is absent}.
-ReducedMatrix = dict[int, Optional[int]]
-# TermMatrix: four slots left to right; occupied slots are a left prefix
-# holding (prime, last_seq) in reverse processing order.
-TermMatrix = tuple[Optional[tuple[int, int]], ...]
-
-
-@dataclass(frozen=True)
-class CompressedBlock:
-    rm: ReducedMatrix
-    sm: SequenceMatrix
-    tm: TermMatrix
-
-
-class TraversalResult(NamedTuple):
-    target: int
-    outcome: int
-    events: list[SequenceEvent]
-    last_seq: int
-    new_residual: list[int]
+    rm: tuple[Optional[int], ...]
+    sm: dict[int, list[tuple[int, int]]]
+    tm: tuple[Optional[tuple[int, int]], ...]
 
 
 class TraceStep(NamedTuple):
@@ -85,81 +69,69 @@ class TraceStep(NamedTuple):
     value: int
 
 
-def traverse_target(
-    residual: Sequence[int],
-    asm: AddSubMatrix,
-    trace: Optional[list[TraceStep]] = None,
-) -> TraversalResult:
-    """Run one target's traversal over the residual block."""
-    if len(residual) == 0:
-        raise EmptyResidual("cannot traverse an empty residual")
-    target = residual[0]
-    value = target
-    events: list[SequenceEvent] = []
-    kept: list[int] = []
-    seq = 0
-    i = 1
-    n = len(residual)
-    while i < n:
-        if residual[i] == target:
-            run = 0
-            while i < n and residual[i] == target:
-                run += 1
-                i += 1
-            seq += 1
-            value += run * target
-            events.append(SequenceEvent(seq, run))
-            if trace is not None:
-                trace.append(TraceStep(target, seq, "absorb", run, value))
-        else:
-            seq += 1
-            crossed = residual[i]
-            value += asm.delta(target, crossed)
-            kept.append(crossed)
-            i += 1
-            if trace is not None:
-                trace.append(TraceStep(target, seq, "cross", crossed, value))
-    return TraversalResult(target, value, events, seq, kept)
+_SHIFTS = range(BLOCK_BITS - 2, -1, -2)  # symbol i is bits _SHIFTS[i]+1.._SHIFTS[i]
 
 
 def compress_block(
-    symbols: Sequence[int],
-    asm: AddSubMatrix,
+    block: int,
+    deltas: Sequence[Sequence[int]],
     trace: Optional[list[TraceStep]] = None,
 ) -> CompressedBlock:
-    """Compress a 15-symbol block into RM/SM/TM under the given matrix."""
-    if len(symbols) != SYMBOLS_PER_BLOCK:
-        raise ValueOutOfRange(f"expected 15 symbols, got {len(symbols)}")
-    if any(s not in PRIME_INDEX for s in symbols):
-        raise ValueOutOfRange(f"symbols must be drawn from {PRIMES}")
-    rm: ReducedMatrix = {p: None for p in PRIMES}
-    sm: SequenceMatrix = {p: [] for p in PRIMES}
-    processed: list[tuple[int, int]] = []  # (prime, last_seq) in order
-    residual = list(symbols)
+    """Compress a 30-bit block under the Add-Sub Matrix as a delta table
+    (deltas[t][c] by prime index). The 15 symbols are read straight from
+    the block as prime indices, and each target walks the cells the
+    earlier targets kept once. `trace`, when given, receives every step."""
+    if not isinstance(block, int) or not 0 <= block < 1 << BLOCK_BITS:
+        raise WrongLength(f"block must be a 30-bit value, got {block!r}")
+    residual = [(block >> shift) & 3 for shift in _SHIFTS]
+    rm: list[Optional[int]] = [None] * len(PRIMES)
+    sm: dict[int, list[tuple[int, int]]] = {t: [] for t in range(len(PRIMES))}
+    processed: list[tuple[int, int]] = []  # (prime index, last_seq) in order
     while residual:
-        res = traverse_target(residual, asm, trace)
-        rm[res.target] = res.outcome
-        sm[res.target] = res.events
-        processed.append((res.target, res.last_seq))
-        residual = res.new_residual
+        t = residual[0]
+        p, row, events = PRIMES[t], deltas[t], sm[t]
+        value = p
+        seq = run = 0
+        kept = []
+        for c in residual[1:]:
+            if c == t:
+                run += 1
+                continue
+            if run:  # a run ends where a crossing starts
+                seq += 1
+                value += run * p
+                events.append((seq, run))
+                if trace is not None:
+                    trace.append(TraceStep(p, seq, "absorb", run, value))
+                run = 0
+            seq += 1
+            value += row[c]
+            kept.append(c)
+            if trace is not None:
+                trace.append(TraceStep(p, seq, "cross", PRIMES[c], value))
+        if run:
+            seq += 1
+            value += run * p
+            events.append((seq, run))
+            if trace is not None:
+                trace.append(TraceStep(p, seq, "absorb", run, value))
+        rm[t] = value
+        processed.append((t, seq))
+        residual = kept
     # Left-most occupied slot names the last processed target.
-    slots: list[Optional[tuple[int, int]]] = [None] * 4
-    for j, entry in enumerate(reversed(processed)):
-        slots[j] = entry
-    return CompressedBlock(rm=rm, sm=sm, tm=tuple(slots))
+    processed.reverse()
+    return CompressedBlock(tuple(rm), sm, tuple(processed) + (None,) * (len(PRIMES) - len(processed)))
 
 
 def decompress_block(
     rm: Sequence[Optional[int]],
-    sm: Sequence[Sequence[tuple[int, int]]],
+    sm: Mapping[int, Sequence[tuple[int, int]]],
     tm: Sequence[Optional[tuple[int, int]]],
     deltas: Sequence[Sequence[int]],
-) -> tuple[int, ...]:
-    """Rebuild the 15-symbol block; exact inverse of compress_block for
-    honest inputs. Every matrix is indexed by prime index (0..3 for
-    2,3,5,7): rm[i] is the outcome or None, sm[i] the (seq, redundant)
-    events, each term slot None or (prime index, last_seq), and
-    deltas[t][c] the Add-Sub Matrix entry.
+) -> int:
+    """Rebuild the 30-bit block from the three matrices of a
+    CompressedBlock and the delta table compress_block took; exact
+    inverse of compress_block for honest inputs.
 
     The structure comes from TM and SM alone. Term slots are replayed left
     to right, each target placed in front of the cells of the targets
@@ -204,6 +176,6 @@ def decompress_block(
         raise IntegrityFailure(f"reconstructed {len(block)} symbols, expected 15")
     # Every target passed the checksum, so it has an outcome; the counts
     # match only if no other prime has an outcome or events.
-    if rm.count(None) != len(PRIMES) - len(occupied) or sum(map(len, sm)) != n_events:
+    if rm.count(None) != len(PRIMES) - len(occupied) or sum(map(len, sm.values())) != n_events:
         raise IntegrityFailure("a prime without a term slot has an outcome or events")
-    return tuple(map(PRIMES.__getitem__, block))
+    return sum(map(lshift, block, _SHIFTS))

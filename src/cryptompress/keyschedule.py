@@ -45,13 +45,6 @@ class NibbleTable:
         return getattr(self, KINDS[kind_index])
 
 
-@dataclass(frozen=True)
-class XorSubkeys:
-    """Eight 4-bit subkeys; (s1,s2) serve prime 2, (s3,s4) prime 3, ..."""
-
-    values: tuple[int, int, int, int, int, int, int, int]
-
-
 class BaseKey(NamedTuple):
     asm_key: int  # 48 bits
     rm_key: int  # 16 bits
@@ -97,8 +90,9 @@ class KeyChain(NamedTuple):
         return 8 * KEY_BYTES + STICKY_BITS * len(self.sticky)
 
 
-def derive_material(base: BaseKey) -> tuple[AddSubMatrix, NibbleTable, XorSubkeys]:
-    """Split a base key into its three working structures."""
+def derive_material(base: BaseKey) -> tuple[AddSubMatrix, NibbleTable]:
+    """Split a base key into its Add-Sub Matrix and placement table; the
+    XOR word's eight subkey nibbles are sticky_nibbles(base.xor_word)."""
     asm = AddSubMatrix(orders=base.orders)
     table = NibbleTable(
         asmh=_nibbles16((base.asm_key >> 16) & 0xFFFF),
@@ -107,8 +101,7 @@ def derive_material(base: BaseKey) -> tuple[AddSubMatrix, NibbleTable, XorSubkey
         sm=_nibbles16(base.sm_key >> 32),
         tm=_nibbles16(base.tm_key),
     )
-    subkeys = XorSubkeys(values=sticky_nibbles(base.xor_word))
-    return asm, table, subkeys
+    return asm, table
 
 
 def _draw_bits(rng: random.Random, nbits: int) -> int:

@@ -13,17 +13,19 @@ import pytest
 
 import cryptompress as cm
 from cryptompress import analysis, container
-from cryptompress.cipher import SM, compile_key, scramble, seal_pairs, unscramble
+from cryptompress.cipher import SM, compile_key, seal_pairs
 from cryptompress.cli import main
 from cryptompress.container import _encode_cell
-from cryptompress.engine import AddSubMatrix, SequenceEvent, compress_block
+from cryptompress.engine import AddSubMatrix, compress_block
 from cryptompress.errors import ContainerError, IntegrityFailure
 from cryptompress.keyschedule import (
     KeyChain,
     derive_material,
     extend_key,
     generate_key,
+    sticky_nibbles,
 )
+from test_compress_oracle import scramble, unscramble
 
 PRIMES = (2, 3, 5, 7)
 
@@ -53,19 +55,17 @@ def test_c01_golden_asm():
 
 
 def test_c02_golden_traversal_and_trace(golden, golden_chain, golden_block, tmp_path, capsys):
-    asm = AddSubMatrix(golden_chain.base.orders)
-    symbols = cm.block_to_symbols(golden_block)
+    deltas = AddSubMatrix(golden_chain.base.orders).deltas
     start = time.perf_counter()
-    cb = compress_block(symbols, asm)
+    cb = compress_block(golden_block, deltas)
     elapsed = time.perf_counter() - start
-    assert cb.rm == {2: 4, 3: 4, 5: 31, 7: 42}
-    assert cb.sm[2] == [SequenceEvent(1, 1)]
-    assert cb.sm[3] == [SequenceEvent(3, 1)]
-    assert cb.sm[5] == [SequenceEvent(1, 2), SequenceEvent(8, 1), SequenceEvent(12, 1)]
-    assert cb.sm[7] == [
-        SequenceEvent(1, 1), SequenceEvent(3, 1), SequenceEvent(5, 1), SequenceEvent(7, 2),
-    ]
-    assert cb.tm == ((2, 1), (3, 3), (7, 8), (5, 13))
+    # every matrix by prime index: 0, 1, 2, 3 for primes 2, 3, 5, 7
+    assert cb.rm == (4, 4, 31, 42)
+    assert cb.sm[0] == [(1, 1)]
+    assert cb.sm[1] == [(3, 1)]
+    assert cb.sm[2] == [(1, 2), (8, 1), (12, 1)]
+    assert cb.sm[3] == [(1, 1), (3, 1), (5, 1), (7, 2)]
+    assert cb.tm == ((0, 1), (1, 3), (3, 8), (2, 13))
     assert elapsed < 0.010
     # the CLI trace must emit the same 25 step values
     key_file = tmp_path / "k.cmk"
@@ -82,9 +82,8 @@ def test_c02_golden_traversal_and_trace(golden, golden_chain, golden_block, tmp_
 
 
 def test_c03_golden_xor_layer(golden, golden_chain):
-    _, _, subkeys = derive_material(golden_chain.base)
-    assert subkeys.values == (1, 2, 3, 4, 5, 6, 7, 8)
-    sm = {p: [SequenceEvent(*e) for e in golden["sm"][str(p)]] for p in PRIMES}
+    assert sticky_nibbles(golden_chain.base.xor_word) == (1, 2, 3, 4, 5, 6, 7, 8)
+    sm = {p: [tuple(e) for e in golden["sm"][str(p)]] for p in PRIMES}
     key = compile_key(golden_chain)
     out = {p: seal_pairs(sm[p], key, i) for i, p in enumerate(PRIMES)}
     assert [tuple(e) for e in out[2]] == [(0, 3)]
@@ -140,16 +139,17 @@ def closed_form_outcomes(symbols, asm):
 def test_c05_conservation_and_closed_form():
     rng = random.Random(20260402)
     for _ in range(10000):
-        symbols = list(cm.block_to_symbols(rng.getrandbits(30)))
+        block = rng.getrandbits(30)
+        symbols = list(cm.block_to_symbols(block))
         asm = AddSubMatrix(tuple(rng.randrange(16) for _ in range(4)))
-        cb = compress_block(symbols, asm)
+        cb = compress_block(block, asm.deltas)
         consumed = sum(
-            1 + sum(e.redundant for e in cb.sm[p]) for p in PRIMES if cb.rm[p] is not None
+            1 + sum(run for _, run in cb.sm[i]) for i in range(4) if cb.rm[i] is not None
         )
         assert consumed == 15
         want = closed_form_outcomes(symbols, asm)
-        for p in PRIMES:
-            assert cb.rm[p] == want.get(p)
+        for i, p in enumerate(PRIMES):
+            assert cb.rm[i] == want.get(p)
     ok(5, "conservation and closed-form outcomes hold on 10000 random blocks/matrices")
 
 
@@ -180,10 +180,10 @@ def test_c07_hardening_locality(golden_chain, golden_block):
 
 
 def _derived_signature(base):
-    asm, table, subkeys = derive_material(base)
+    asm, table = derive_material(base)
     masked_orders = tuple(o & ~(1 << (3 - i)) for i, o in enumerate(asm.orders))
     table_mod4 = tuple(n % 4 for k in range(5) for n in table.group(k))
-    return masked_orders, table_mod4, subkeys.values
+    return masked_orders, table_mod4, sticky_nibbles(base.xor_word)
 
 
 def _corrupt_one_nibble(base, rng):

@@ -4,7 +4,7 @@ import pytest
 
 import cryptompress as cm
 from cryptompress import analysis
-from cryptompress.errors import InvalidKeyspace
+from cryptompress.errors import EmptyInput, InvalidKeyspace
 from cryptompress.keyschedule import KeyChain, derive_material, generate_key
 
 
@@ -97,15 +97,29 @@ def test_keyspace_cap():
         analysis.bruteforce_demo(grid, chain, block, 25, 0, seed=4)
 
 
+def test_negative_harden_every_is_rejected():
+    """Without the guard a sweep of 16 candidates, every one failing,
+    reported hardenings_triggered=-16."""
+    chain, block, grid = demo_setup(4)
+    with pytest.raises(InvalidKeyspace, match="harden_every"):
+        analysis.bruteforce_demo(grid, chain, block, 4, -1, seed=4)
+
+
+def test_compression_stats_of_no_blocks_is_empty_input(golden_chain):
+    asm, _ = derive_material(golden_chain.base)
+    with pytest.raises(EmptyInput):
+        analysis.compression_stats([], asm)
+
+
 def test_all_zero_block_has_one_event(golden_chain):
-    asm, _, _ = derive_material(golden_chain.base)
+    asm, _ = derive_material(golden_chain.base)
     report = analysis.compression_stats([0], asm)
     assert report.entries[0].sm_events == 1
 
 
 def test_alternating_block_event_total(golden_chain):
     # 2,3,2,3,...,2: seven isolated absorptions for the 2s, one run of 3s
-    asm, _, _ = derive_material(golden_chain.base)
+    asm, _ = derive_material(golden_chain.base)
     block = cm.symbols_to_block([2, 3] * 7 + [2])
     assert block == 0x04444444
     report = analysis.compression_stats([block], asm)
@@ -114,23 +128,23 @@ def test_alternating_block_event_total(golden_chain):
 
 
 def test_stats_respect_conservation(golden_chain):
-    asm, _, _ = derive_material(golden_chain.base)
+    asm, _ = derive_material(golden_chain.base)
     rng = random.Random(6)
     blocks = [rng.getrandbits(30) for _ in range(200)]
     report = analysis.compression_stats(blocks, asm)
     for block, entry in zip(blocks, report.entries):
-        cb = cm.compress_block(cm.block_to_symbols(block), asm)
+        cb = cm.compress_block(block, asm.deltas)
         consumed = sum(
-            1 + sum(e.redundant for e in cb.sm[p])
-            for p in (2, 3, 5, 7)
-            if cb.rm[p] is not None
+            1 + sum(run for _, run in cb.sm[i])
+            for i in range(4)
+            if cb.rm[i] is not None
         )
         assert consumed == 15
         assert 1 <= entry.sm_events <= 14
 
 
 def test_random_blocks_have_more_events_than_biased(golden_chain):
-    asm, _, _ = derive_material(golden_chain.base)
+    asm, _ = derive_material(golden_chain.base)
     plain = analysis.compression_stats(analysis.random_blocks(1000, 1), asm)
     biased = analysis.compression_stats(analysis.biased_blocks(1000, 2), asm)
     assert plain.mean_events > biased.mean_events

@@ -12,14 +12,13 @@ from cryptompress.cipher import (
     SM_BASE,
     TM,
     CipherGrid,
+    _asm_cells,
     compile_key,
-    logical_cells,
-    scramble,
+    data_cells,
     seal_pairs,
     sticky_round,
-    unscramble,
 )
-from cryptompress.engine import AddSubMatrix, SequenceEvent, compress_block
+from cryptompress.engine import AddSubMatrix, compress_block
 from cryptompress.errors import (
     IncompleteGrid,
     IntegrityFailure,
@@ -27,6 +26,7 @@ from cryptompress.errors import (
     ValueOutOfRange,
 )
 from cryptompress.keyschedule import BaseKey, KeyChain, extend_key, generate_key, sticky_nibbles
+from test_compress_oracle import SequenceEvent, scramble, unscramble
 from test_decrypt_oracle import open_pairs
 
 PRIMES = (2, 3, 5, 7)
@@ -189,8 +189,8 @@ def test_scramble_unscramble_identity_1000_random():
 def test_scramble_golden_placement(golden, golden_chain, golden_block):
     """The hand-replayed 20-swap placement for the worked-example key."""
     key = compile_key(golden_chain)
-    cb = compress_block(cm.block_to_symbols(golden_block), key.asm)
-    cells = logical_cells(key, cb)
+    cb = compress_block(golden_block, key.deltas)
+    cells = _asm_cells(key.asm.orders) + data_cells(cb, key)
     # label by object identity: equal-looking cells (H3/V3 here) must not
     # be confused, the schedule moves instances
     names = [f"{kind}{p}" for kind in "HVRST" for p in PRIMES]
@@ -200,6 +200,7 @@ def test_scramble_golden_placement(golden, golden_chain, golden_block):
     for k, kind in enumerate(("asmh", "asmv", "rm", "sm", "tm")):
         got = [label[id(scrambled[k * 4 + i])] for i in range(4)]
         assert got == want[kind], (kind, got, want[kind])
+    assert scrambled == cm.encrypt_block(golden_block, golden_chain).cells
 
 
 def test_scramble_rejects_bad_inventory():

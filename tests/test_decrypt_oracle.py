@@ -2,7 +2,7 @@
 
 `reference_decrypt` is the step-by-step decrypt path, kept here as the
 reference: `unscramble` (inventory check), `_split_logical` into a
-CompressedBlock (slot kinds, the x_pos witness), `open_pairs` (nibble
+PrimeBlock (slot kinds, the x_pos witness), `open_pairs` (nibble
 check) and `reference_decompress`, which walks a backward cursor through
 each target and checks where it comes to rest. `cipher.decrypt_block`
 must return the same block or raise the same exception type on every
@@ -30,13 +30,13 @@ from cryptompress.cipher import (
     _pair_mask,
     check_rounds,
     compile_key,
-    unscramble,
 )
 from cryptompress.codec import PRIMES
-from cryptompress.engine import AddSubMatrix, CompressedBlock, SequenceEvent, decompress_block
+from cryptompress.engine import AddSubMatrix, decompress_block
 from cryptompress.errors import CryptompressError, IntegrityFailure, ValueOutOfRange
 from cryptompress.keyschedule import KeyChain, extend_key, generate_key
 from test_acceptance import closed_form_outcomes
+from test_compress_oracle import PrimeBlock, SequenceEvent, index_shape, reference_compress, unscramble
 
 PRIME_INDEX = codec.PRIME_INDEX
 
@@ -53,7 +53,7 @@ def open_pairs(pairs, key, prime_index):
 
 
 def _split_logical(cells, key):
-    """The logical cells as a CompressedBlock; IntegrityFailure when a
+    """The logical cells as a PrimeBlock; IntegrityFailure when a
     slot holds a cell of the wrong kind or a string cell's X mark is off
     the diagonal."""
     for kind in (0, 1):
@@ -79,7 +79,7 @@ def _split_logical(cells, key):
             raise IntegrityFailure(f"term slot {i} holds {KINDS[c[0]].name}")
         tm.append((PRIMES[c[1]], c[2]) if c[0] == TM else None)
     sm = {p: open_pairs(cells[SM_BASE + i][1], key, i) for i, p in enumerate(PRIMES)}
-    return CompressedBlock(rm=rm, sm=sm, tm=tuple(tm))
+    return PrimeBlock(rm=rm, sm=sm, tm=tuple(tm))
 
 
 def _validate_events(prime, events, last_seq):
@@ -164,10 +164,9 @@ def reference_decrypt(grid, chain):
 
 
 def decompress(cb, asm):
-    """engine.decompress_block on a CompressedBlock: its matrices by prime
-    index and the Add-Sub Matrix as a delta table."""
-    tm = [None if slot is None else (PRIME_INDEX[slot[0]], slot[1]) for slot in cb.tm]
-    return decompress_block([cb.rm[p] for p in PRIMES], [cb.sm[p] for p in PRIMES], tm, asm.deltas)
+    """engine.decompress_block on a PrimeBlock, as symbols: its matrices
+    by prime index and the Add-Sub Matrix as a delta table."""
+    return codec.block_to_symbols(decompress_block(*index_shape(cb), asm.deltas))
 
 
 def _verdict(fn, grid, chain):
@@ -317,7 +316,7 @@ def test_rebuild_matches_reference_on_perturbed_blocks():
     for _ in range(5000):
         symbols = cm.block_to_symbols(rng.getrandbits(30))
         asm = AddSubMatrix(tuple(rng.randrange(16) for _ in range(4)))
-        cb = cm.compress_block(symbols, asm)
+        cb = reference_compress(symbols, asm)
         rm, sm, tm = dict(cb.rm), {p: list(e) for p, e in cb.sm.items()}, list(cb.tm)
         p = rng.choice(PRIMES)
         op = rng.randrange(4)
@@ -331,7 +330,7 @@ def test_rebuild_matches_reference_on_perturbed_blocks():
             i = rng.randrange(4)
             if tm[i] is not None:
                 tm[i] = (tm[i][0], tm[i][1] + rng.choice((-1, 1)))
-        bad = CompressedBlock(rm=rm, sm=sm, tm=tuple(tm))
+        bad = PrimeBlock(rm=rm, sm=sm, tm=tuple(tm))
         try:
             want = reference_decompress(bad, asm)
         except IntegrityFailure:
@@ -350,7 +349,7 @@ def test_a_target_named_twice_is_rejected():
     the rebuild, the checksums and the size all come out right: only the
     check for a repeated target rejects it."""
     asm = AddSubMatrix((0b1000, 0b1000, 0, 0))  # delta(2,2) = delta(3,2) = +1, delta(2,3) = -1
-    cb = CompressedBlock(
+    cb = PrimeBlock(
         rm={2: 10, 3: 20, 5: 7, 7: None},
         sm={2: [SequenceEvent(1, 4)], 3: [SequenceEvent(1, 4)], 5: [SequenceEvent(1, 1)], 7: []},
         tm=((2, 1), (3, 6), (2, 11), None),
@@ -369,7 +368,7 @@ def test_rebuild_rejects_a_consistent_block_of_the_wrong_size():
     for _ in range(300):
         symbols = cm.block_to_symbols(rng.getrandbits(30))
         asm = AddSubMatrix(tuple(rng.randrange(16) for _ in range(4)))
-        cb = cm.compress_block(symbols, asm)
+        cb = reference_compress(symbols, asm)
         first = symbols[0]
         k = rng.randrange(len(cb.sm[first])) if cb.sm[first] else None
         if k is None or cb.sm[first][k].redundant == 1:
@@ -377,7 +376,7 @@ def test_rebuild_rejects_a_consistent_block_of_the_wrong_size():
         for step in (-1, 1):
             events = list(cb.sm[first])
             events[k] = SequenceEvent(events[k].seq, events[k].redundant + step)
-            bad = CompressedBlock(rm={**cb.rm, first: cb.rm[first] + step * first}, sm={**cb.sm, first: events}, tm=cb.tm)
+            bad = PrimeBlock(rm={**cb.rm, first: cb.rm[first] + step * first}, sm={**cb.sm, first: events}, tm=cb.tm)
             for fn in (reference_decompress, decompress):
                 with pytest.raises(IntegrityFailure, match="symbols, expected 15|exceeds block size"):
                     fn(bad, asm)
@@ -390,11 +389,11 @@ def test_rm_check_is_the_closed_form_on_honest_blocks():
     for _ in range(2000):
         symbols = list(cm.block_to_symbols(rng.getrandbits(30)))
         asm = AddSubMatrix(tuple(rng.randrange(16) for _ in range(4)))
-        cb = cm.compress_block(symbols, asm)
+        cb = reference_compress(symbols, asm)
         want = closed_form_outcomes(symbols, asm)
         rm = {p: want.get(p) for p in PRIMES}
-        assert decompress(CompressedBlock(rm=rm, sm=cb.sm, tm=cb.tm), asm) == tuple(symbols)
+        assert decompress(PrimeBlock(rm=rm, sm=cb.sm, tm=cb.tm), asm) == tuple(symbols)
         p = rng.choice(list(want))
         off = {**rm, p: rm[p] + rng.choice((-5, -2, -1, 1, 2, 5))}
         with pytest.raises(IntegrityFailure):
-            decompress(CompressedBlock(rm=off, sm=cb.sm, tm=cb.tm), asm)
+            decompress(PrimeBlock(rm=off, sm=cb.sm, tm=cb.tm), asm)

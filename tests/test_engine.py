@@ -4,15 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cryptompress import codec
-from cryptompress.engine import (
-    AddSubMatrix,
-    CompressedBlock,
-    SequenceEvent,
-    compress_block,
-    traverse_target,
-)
+from cryptompress.engine import AddSubMatrix, CompressedBlock, compress_block, decompress_block
 from cryptompress.errors import EmptyResidual, IntegrityFailure
-from test_decrypt_oracle import decompress
+from test_compress_oracle import SequenceEvent, traverse_target
 
 st_orders = st.tuples(*[st.integers(0, 15)] * 4)
 st_symbols = st.lists(st.sampled_from(codec.PRIMES), min_size=15, max_size=15)
@@ -47,6 +41,15 @@ def tail_run_identity(symbols):
             runs += 1
         in_run = s == target
     return runs
+
+
+def golden_matrices(golden):
+    """The published RM/SM/TM tables by prime index."""
+    return CompressedBlock(
+        rm=tuple(golden["rm"][str(p)] for p in codec.PRIMES),
+        sm={i: [tuple(e) for e in golden["sm"][str(p)]] for i, p in enumerate(codec.PRIMES)},
+        tm=tuple(None if s is None else (codec.PRIME_INDEX[s[0]], s[1]) for s in golden["tm"]),
+    )
 
 
 def test_golden_asm_table(golden):
@@ -100,67 +103,66 @@ def test_traverse_rejects_empty():
 
 def test_golden_compress_matches_published_tables(golden, golden_chain):
     asm = AddSubMatrix(golden_chain.base.orders)
-    cb = compress_block(golden["symbols"], asm)
-    assert cb.rm == {int(p): v for p, v in golden["rm"].items()}
-    for p in codec.PRIMES:
-        assert cb.sm[p] == [SequenceEvent(*e) for e in golden["sm"][str(p)]]
-    assert cb.tm == tuple(tuple(s) for s in golden["tm"])
+    cb = compress_block(codec.symbols_to_block(golden["symbols"]), asm.deltas)
+    want = golden_matrices(golden)
+    assert cb.rm == want.rm
+    for i in range(4):
+        assert cb.sm[i] == want.sm[i]
+    assert cb.tm == want.tm
 
 
 def test_compress_fifteen_twos():
-    cb = compress_block([2] * 15, AddSubMatrix((1, 2, 3, 4)))
-    assert cb.rm == {2: 30, 3: None, 5: None, 7: None}
-    assert cb.sm == {2: [SequenceEvent(1, 14)], 3: [], 5: [], 7: []}
-    assert cb.tm == ((2, 1), None, None, None)
+    cb = compress_block(0, AddSubMatrix((1, 2, 3, 4)).deltas)
+    assert cb.rm == (30, None, None, None)
+    assert cb.sm == {0: [(1, 14)], 1: [], 2: [], 3: []}
+    assert cb.tm == ((0, 1), None, None, None)
 
 
 def test_golden_decompress(golden, golden_chain):
     asm = AddSubMatrix(golden_chain.base.orders)
-    cb = CompressedBlock(
-        rm={int(p): v for p, v in golden["rm"].items()},
-        sm={p: [SequenceEvent(*e) for e in golden["sm"][str(p)]] for p in codec.PRIMES},
-        tm=tuple(tuple(s) for s in golden["tm"]),
-    )
-    assert list(decompress(cb, asm)) == golden["symbols"]
+    block = decompress_block(*golden_matrices(golden), asm.deltas)
+    assert list(codec.block_to_symbols(block)) == golden["symbols"]
 
 
 def test_decompress_fifteen_twos():
     cb = CompressedBlock(
-        rm={2: 30, 3: None, 5: None, 7: None},
-        sm={2: [SequenceEvent(1, 14)], 3: [], 5: [], 7: []},
-        tm=((2, 1), None, None, None),
+        rm=(30, None, None, None),
+        sm={0: [(1, 14)], 1: [], 2: [], 3: []},
+        tm=((0, 1), None, None, None),
     )
-    assert decompress(cb, AddSubMatrix((9, 9, 9, 9))) == (2,) * 15
+    block = decompress_block(*cb, AddSubMatrix((9, 9, 9, 9)).deltas)
+    assert codec.block_to_symbols(block) == (2,) * 15
 
 
 def test_round_trip_10000_random_blocks_and_100_asms():
     rng = random.Random(1)
-    asms = [AddSubMatrix(tuple(rng.randrange(16) for _ in range(4))) for _ in range(100)]
+    tables = [AddSubMatrix(tuple(rng.randrange(16) for _ in range(4))).deltas for _ in range(100)]
     for i in range(10000):
-        symbols = codec.block_to_symbols(rng.getrandbits(30))
-        asm = asms[i % 100]
-        assert decompress(compress_block(symbols, asm), asm) == symbols
+        block = rng.getrandbits(30)
+        deltas = tables[i % 100]
+        assert decompress_block(*compress_block(block, deltas), deltas) == block
 
 
 @settings(max_examples=300, deadline=None)
 @given(st_symbols, st_orders)
 def test_round_trip_property(symbols, orders):
-    asm = AddSubMatrix(orders)
-    assert list(decompress(compress_block(symbols, asm), asm)) == symbols
+    deltas = AddSubMatrix(orders).deltas
+    block = codec.symbols_to_block(symbols)
+    assert list(codec.block_to_symbols(decompress_block(*compress_block(block, deltas), deltas))) == symbols
 
 
 @settings(max_examples=300, deadline=None)
 @given(st_symbols, st_orders)
 def test_closed_form_and_conservation(symbols, orders):
     asm = AddSubMatrix(orders)
-    cb = compress_block(symbols, asm)
+    cb = compress_block(codec.symbols_to_block(symbols), asm.deltas)
     want = closed_form_outcomes(symbols, asm)
-    for p in codec.PRIMES:
-        assert cb.rm[p] == want.get(p)
+    for i, p in enumerate(codec.PRIMES):
+        assert cb.rm[i] == want.get(p)
     consumed = sum(
-        1 + sum(e.redundant for e in cb.sm[p])
-        for p in codec.PRIMES
-        if cb.rm[p] is not None
+        1 + sum(run for _, run in cb.sm[i])
+        for i in range(4)
+        if cb.rm[i] is not None
     )
     assert consumed == 15
 
@@ -181,42 +183,43 @@ def test_event_count_and_nibble_ranges(symbols, orders):
 def test_singleton_final_prime_round_trips():
     # the last processed prime occurring once traverses in zero steps
     symbols = [2] * 14 + [3]
-    asm = AddSubMatrix((0, 0, 0, 0))
-    cb = compress_block(symbols, asm)
-    assert cb.tm[0] == (3, 0)
-    assert cb.sm[3] == []
-    assert list(decompress(cb, asm)) == symbols
+    deltas = AddSubMatrix((0, 0, 0, 0)).deltas
+    cb = compress_block(codec.symbols_to_block(symbols), deltas)
+    assert cb.tm[0] == (1, 0)  # prime 3
+    assert cb.sm[1] == []
+    assert list(codec.block_to_symbols(decompress_block(*cb, deltas))) == symbols
 
 
 def test_decompress_rejects_tampered_outcome(golden, golden_chain):
-    asm = AddSubMatrix(golden_chain.base.orders)
-    cb = compress_block(golden["symbols"], asm)
-    bad = CompressedBlock(rm={**cb.rm, 5: cb.rm[5] + 1}, sm=cb.sm, tm=cb.tm)
+    deltas = AddSubMatrix(golden_chain.base.orders).deltas
+    cb = compress_block(codec.symbols_to_block(golden["symbols"]), deltas)
+    rm = list(cb.rm)
+    rm[2] += 1  # prime 5
     with pytest.raises(IntegrityFailure):
-        decompress(bad, asm)
+        decompress_block(rm, cb.sm, cb.tm, deltas)
 
 
 def test_decompress_rejects_duplicate_seq(golden, golden_chain):
-    asm = AddSubMatrix(golden_chain.base.orders)
-    cb = compress_block(golden["symbols"], asm)
-    bad_sm = {**cb.sm, 5: [SequenceEvent(1, 2), SequenceEvent(1, 1), SequenceEvent(12, 1)]}
+    deltas = AddSubMatrix(golden_chain.base.orders).deltas
+    cb = compress_block(codec.symbols_to_block(golden["symbols"]), deltas)
+    bad_sm = {**cb.sm, 2: [(1, 2), (1, 1), (12, 1)]}  # prime 5
     with pytest.raises(IntegrityFailure):
-        decompress(CompressedBlock(rm=cb.rm, sm=bad_sm, tm=cb.tm), asm)
+        decompress_block(cb.rm, bad_sm, cb.tm, deltas)
 
 
 def test_decompress_rejects_non_prefix_tm(golden, golden_chain):
-    asm = AddSubMatrix(golden_chain.base.orders)
-    cb = compress_block(golden["symbols"], asm)
+    deltas = AddSubMatrix(golden_chain.base.orders).deltas
+    cb = compress_block(codec.symbols_to_block(golden["symbols"]), deltas)
     gap = (cb.tm[0], None, cb.tm[2], cb.tm[3])
     with pytest.raises(IntegrityFailure):
-        decompress(CompressedBlock(rm=cb.rm, sm=cb.sm, tm=gap), asm)
+        decompress_block(cb.rm, cb.sm, gap, deltas)
 
 
 def test_decompress_rejects_orphan_events():
     cb = CompressedBlock(
-        rm={2: 30, 3: None, 5: None, 7: None},
-        sm={2: [SequenceEvent(1, 14)], 3: [SequenceEvent(1, 1)], 5: [], 7: []},
-        tm=((2, 1), None, None, None),
+        rm=(30, None, None, None),
+        sm={0: [(1, 14)], 1: [(1, 1)], 2: [], 3: []},
+        tm=((0, 1), None, None, None),
     )
     with pytest.raises(IntegrityFailure):
-        decompress(cb, AddSubMatrix((0, 0, 0, 0)))
+        decompress_block(*cb, AddSubMatrix((0, 0, 0, 0)).deltas)
