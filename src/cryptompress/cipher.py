@@ -208,8 +208,8 @@ def seal_pairs(pairs, key: CompiledKey, prime_index: int) -> tuple[tuple[int, in
     and every sticky round, as one swap-then-XOR."""
     ms, mr = _pair_mask(key.mask, prime_index)
     if key.swap:
-        return tuple((r ^ ms, s ^ mr) for s, r in pairs)
-    return tuple((s ^ ms, r ^ mr) for s, r in pairs)
+        return tuple([(r ^ ms, s ^ mr) for s, r in pairs])
+    return tuple([(s ^ ms, r ^ mr) for s, r in pairs])
 
 
 def sticky_round(pairs, k_s: int, k_r: int) -> tuple[tuple[int, int], ...]:
@@ -246,7 +246,7 @@ def encrypt_block(block: int, chain: KeyChain) -> CipherGrid:
     key = compile_key(chain)
     orders = key.asm.orders
     cells = _asm_cells(orders) + data_cells(compress_block(block, key.deltas), key)
-    out: list[Cell] = [None] * N_CELLS
+    out: list[Optional[Cell]] = [None] * N_CELLS
     for cell, j in zip(cells, key.slots):
         out[j] = cell
     return CipherGrid(orders, tuple(out), len(chain.sticky))

@@ -69,7 +69,7 @@ class TraceStep(NamedTuple):
     value: int
 
 
-_SHIFTS = range(BLOCK_BITS - 2, -1, -2)  # symbol i is bits _SHIFTS[i]+1.._SHIFTS[i]
+_SHIFTS = range(BLOCK_BITS - 2, -1, -2)  # symbol i is the bit pair (block >> _SHIFTS[i]) & 3
 
 
 def compress_block(

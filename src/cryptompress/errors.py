@@ -18,10 +18,6 @@ class EmptyInput(CryptompressError):
     """An operation that needs at least one byte/symbol got none."""
 
 
-class EmptyResidual(CryptompressError):
-    """A traversal was started on an empty residual block."""
-
-
 class IntegrityFailure(CryptompressError):
     """Decryption could not restore a consistent block: wrong key or
     tampered ciphertext."""

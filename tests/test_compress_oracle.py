@@ -34,8 +34,12 @@ from cryptompress.cipher import (
 )
 from cryptompress.codec import PRIME_INDEX, PRIMES, SYMBOLS_PER_BLOCK
 from cryptompress.engine import AddSubMatrix, CompressedBlock, TraceStep, compress_block
-from cryptompress.errors import EmptyResidual, IncompleteGrid, ValueOutOfRange, WrongLength
+from cryptompress.errors import CryptompressError, IncompleteGrid, ValueOutOfRange, WrongLength
 from cryptompress.keyschedule import KeyChain, extend_key, generate_key
+
+
+class EmptyResidual(CryptompressError):
+    """A traversal was started on an empty residual block."""
 
 
 class SequenceEvent(NamedTuple):
@@ -122,7 +126,7 @@ def index_shape(cb: PrimeBlock) -> CompressedBlock:
     """A block keyed by prime in the engine's shape, by prime index."""
     return CompressedBlock(
         tuple(cb.rm[p] for p in PRIMES),
-        {i: list(cb.sm[p]) for i, p in enumerate(PRIMES)},
+        {i: cb.sm[p] for i, p in enumerate(PRIMES)},
         tuple(None if slot is None else (PRIME_INDEX[slot[0]], slot[1]) for slot in cb.tm),
     )
 

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from cryptompress import codec
 from cryptompress.engine import AddSubMatrix, CompressedBlock, compress_block, decompress_block
-from cryptompress.errors import EmptyResidual, IntegrityFailure
-from test_compress_oracle import SequenceEvent, traverse_target
+from cryptompress.errors import IntegrityFailure
+from test_compress_oracle import EmptyResidual, SequenceEvent, traverse_target
 
 st_orders = st.tuples(*[st.integers(0, 15)] * 4)
 st_symbols = st.lists(st.sampled_from(codec.PRIMES), min_size=15, max_size=15)
