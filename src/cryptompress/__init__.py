@@ -23,7 +23,6 @@ from .engine import (
 from .keyschedule import (
     BaseKey,
     KeyChain,
-    NibbleTable,
     derive_material,
     extend_key,
     generate_key,
@@ -58,7 +57,6 @@ __all__ = [
     "decompress_block",
     "BaseKey",
     "KeyChain",
-    "NibbleTable",
     "derive_material",
     "extend_key",
     "generate_key",

@@ -2,14 +2,14 @@
 grows brute-force work, and run-heavy inputs compress into fewer sequence
 events. Plus a standard bit-diffusion diagnostic.
 
-Every run takes an explicit seed; reports are plain dataclasses with
-to_dict for JSON/CSV emission.
+Every run takes an explicit seed; reports are NamedTuples with to_dict
+for JSON/CSV emission.
 """
 
 import random
 import time
-from dataclasses import asdict, dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import codec
 from .cipher import CipherGrid, decrypt_block, encrypt_block, harden_message
@@ -21,8 +21,7 @@ from .keyschedule import BaseKey, KeyChain
 MAX_RESTRICTED_BITS = 24
 
 
-@dataclass
-class AttackReport:
+class AttackReport(NamedTuple):
     keyspace_bits: int
     attempts_made: int
     hardenings_triggered: int
@@ -30,20 +29,18 @@ class AttackReport:
     success: bool
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass
-class BlockStats:
+class BlockStats(NamedTuple):
     symbols: int
     sm_events: int
     compressed_bits: int
     ratio: float
 
 
-@dataclass
-class RatioReport:
-    entries: list[BlockStats] = field(default_factory=list)
+class RatioReport(NamedTuple):
+    entries: list[BlockStats]
 
     @property
     def mean_events(self) -> float:
@@ -66,15 +63,14 @@ class RatioReport:
         }
 
 
-@dataclass
-class AvalancheReport:
+class AvalancheReport(NamedTuple):
     samples: int
     mean: float
     min: int
     max: int
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def demo_block(rng: random.Random) -> int:
@@ -166,7 +162,7 @@ def compression_stats(blocks: list[int], asm: AddSubMatrix) -> RatioReport:
     if not blocks:
         raise EmptyInput("need at least one block")
     deltas = asm.deltas
-    report = RatioReport()
+    report = RatioReport([])
     for block in blocks:
         cb = compress_block(block, deltas)
         events = sum(map(len, cb.sm.values()))

@@ -17,7 +17,6 @@ or the sticky words; the rest is built once per base key structure.
 
 import random
 import struct
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from operator import itemgetter
@@ -31,7 +30,7 @@ from .errors import (
     RoundCountMismatch,
     ValueOutOfRange,
 )
-from .keyschedule import BaseKey, KeyChain, NibbleTable, derive_material, extend_key, sticky_nibbles
+from .keyschedule import BaseKey, KeyChain, derive_material, extend_key, sticky_nibbles
 
 N_KINDS = 5
 N_SLOTS = 4
@@ -91,21 +90,18 @@ KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class CipherGrid:
-    """One block's ciphertext: clear order nibbles, 20 scrambled cells
-    (kind-major: index = kind*4 + slot) and the sticky round count."""
+class CipherGrid(NamedTuple):
+    """One block's ciphertext: clear order nibbles, 20 scrambled cells in
+    wire order (row-major: index = row*5 + column) and the sticky round
+    count."""
 
     orders: tuple[int, int, int, int]
     cells: tuple[Cell, ...]
     sticky_rounds: int
 
-    def cell(self, kind: int, slot: int) -> Cell:
-        return self.cells[kind * N_SLOTS + slot]
-
     def rows(self) -> list[list[Cell]]:
-        """Cells as 4 rows x 5 data columns, the presentation layout."""
-        return [[self.cell(k, r) for k in range(N_KINDS)] for r in range(N_SLOTS)]
+        """Cells as 4 rows x 5 data columns, the wire and presentation layout."""
+        return [list(self.cells[r : r + N_KINDS]) for r in range(0, N_CELLS, N_KINDS)]
 
 
 # counts[tag] of a valid grid, keyed by its number of outcomes m
@@ -142,7 +138,7 @@ class CompiledKey(NamedTuple):
     """What a key chain contributes to every block, derived once.
 
     `deltas` is the Add-Sub Matrix as a table by prime index, and
-    `slots[i]` is where logical cell i sits in the scrambled grid; these
+    `slots[i]` is the wire position of logical cell i (kind*4 + slot); these
     and `asm` are shared by every chain with the same base key outside its
     XOR word. `mask` holds one byte per prime (2,3,5,7 from the MSB), S
     nibble high: a stored pair is the plain pair, swapped when `swap`,
@@ -160,18 +156,20 @@ def _nswap(word: int) -> int:
     return ((word >> 4) & 0x0F0F0F0F) | ((word & 0x0F0F0F0F) << 4)
 
 
-def _slot_table(table: NibbleTable) -> tuple[int, ...]:
-    """Compose the 20 fixed transpositions the placement table defines
-    (each kind hands one cell per slot to the next kind in the cycle, at
-    the slot its nibble names mod 4) into one logical -> scrambled map."""
-    at = list(range(N_CELLS))  # at[j]: logical index now at position j
-    for k in range(N_KINDS):
-        for i, n in enumerate(table.group(k)):
-            a, b = k * N_SLOTS + i, (k + 1) % N_KINDS * N_SLOTS + n % 4
-            at[a], at[b] = at[b], at[a]
+def _slot_table(nibbles: tuple[int, ...]) -> tuple[int, ...]:
+    """Compose the 20 fixed transpositions the placement nibbles define
+    into one map from logical cell (kind*4 + slot) to wire position. The
+    grid starts with kind k's cells in column k; nibble k*4 + i then swaps
+    row i of column k with the row it names mod 4 of the next column in
+    the cycle."""
+    at = [w % N_KINDS * N_SLOTS + w // N_KINDS for w in range(N_CELLS)]  # at[w]: logical cell at w
+    for j, n in enumerate(nibbles):
+        k, i = divmod(j, N_SLOTS)
+        a, b = i * N_KINDS + k, n % 4 * N_KINDS + (k + 1) % N_KINDS
+        at[a], at[b] = at[b], at[a]
     slots = [0] * N_CELLS
-    for j, i in enumerate(at):
-        slots[i] = j
+    for w, i in enumerate(at):
+        slots[i] = w
     return tuple(slots)
 
 
@@ -182,8 +180,8 @@ def _structure(asm_key: int, rm_key: int, tm_key: int, sm_arrangement: int) -> t
     true key in the XOR word only, and every chain grown from one base key
     share it, so one entry serves; compile_key's own cache covers chains
     that alternate."""
-    asm, table = derive_material(BaseKey(asm_key, rm_key, tm_key, sm_arrangement << 32))
-    return asm, asm.deltas, _slot_table(table)
+    asm, nibbles = derive_material(BaseKey(asm_key, rm_key, tm_key, sm_arrangement << 32))
+    return asm, asm.deltas, _slot_table(nibbles)
 
 
 @lru_cache(maxsize=64)
@@ -239,8 +237,8 @@ def data_cells(cb: CompressedBlock, key: Optional[CompiledKey] = None) -> tuple[
 
 def encrypt_block(block: int, chain: KeyChain) -> CipherGrid:
     """Encrypt one 30-bit block under the full key chain: compress it,
-    lay the 20 cells out kind-major (asmh, asmv, rm, sm, tm) with the
-    sequence lists sealed, and scatter them to their keyed slots. The
+    lay the 20 logical cells out kind-major (asmh, asmv, rm, sm, tm) with
+    the sequence lists sealed, and scatter them to their wire positions. The
     compressor always yields the 20 logical items, so no inventory check
     runs here."""
     key = compile_key(chain)

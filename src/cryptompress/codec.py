@@ -9,8 +9,7 @@ bit pairs map to the first four primes:
 so one block becomes exactly 15 symbols.
 """
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import EmptyInput, WrongLength, ValueOutOfRange
 
@@ -21,8 +20,7 @@ PRIMES = (2, 3, 5, 7)
 PRIME_INDEX = {p: i for i, p in enumerate(PRIMES)}  # prime -> its index, also its bit pair
 
 
-@dataclass(frozen=True)
-class PaddedMessage:
+class PaddedMessage(NamedTuple):
     """A byte payload cut into 30-bit blocks, zero-padded on the right.
 
     tail_bits counts the meaningful bits of the final block (1..30); all

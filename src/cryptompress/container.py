@@ -10,15 +10,14 @@ and 20 tagged cells row-major. All multi-byte integers are big-endian.
 """
 
 import struct
-from dataclasses import dataclass
 from itertools import chain
 from operator import le
+from typing import NamedTuple
 
 from .cipher import (
     KINDS,
     N_CELLS,
     N_KINDS,
-    N_SLOTS,
     SM,
     Cell,
     CipherGrid,
@@ -41,8 +40,7 @@ CIPHER_MAGIC = b"CMC1"
 CIPHER_VERSION = 1
 
 
-@dataclass(frozen=True)
-class CipherMessage:
+class CipherMessage(NamedTuple):
     """A serialized-ready ciphertext: per-block grids sharing one sticky
     depth, plus the tail-bit count of the final block."""
 
@@ -143,15 +141,12 @@ def write_cipher(msg: CipherMessage) -> bytes:
         o = grid.orders
         out.append((o[0] << 4) | o[1])
         out.append((o[2] << 4) | o[3])
-        for row in range(N_SLOTS):
-            for kind in range(N_KINDS):
-                out += _encode_cell(grid.cell(kind, row))
+        for cell in grid.cells:
+            out += _encode_cell(cell)
     return bytes(out)
 
 
 HEADER_BYTES = 11
-# wire position (row-major) of each in-memory (kind-major) cell
-_WIRE_INDEX = tuple(row * N_KINDS + kind for kind in range(N_KINDS) for row in range(N_SLOTS))
 
 
 def read_header(data: bytes) -> tuple[int, int, int]:
@@ -189,14 +184,13 @@ def read_cipher(data: bytes) -> CipherMessage:
         a, b = data[pos], data[pos + 1]
         pos += 2
         counts = [0] * N_KINDS
-        wire = []
+        cells = []
         for _ in range(N_CELLS):
             cell, pos = _decode_cell(data, pos)
             counts[cell[0]] += 1
-            wire.append(cell)
+            cells.append(cell)
         check_counts(counts, InventoryMismatch)
-        orders = (a >> 4, a & 15, b >> 4, b & 15)
-        grids.append(CipherGrid(orders, tuple(wire[i] for i in _WIRE_INDEX), rounds))
+        grids.append(CipherGrid((a >> 4, a & 15, b >> 4, b & 15), tuple(cells), rounds))
     if pos != len(data):
         raise MalformedCell(f"{len(data) - pos} trailing bytes after last block")
     return CipherMessage(grids=tuple(grids), tail_bits=tail_bits)

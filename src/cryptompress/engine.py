@@ -13,7 +13,6 @@ value is the target's outcome. Targets are processed this way until the
 residual is empty.
 """
 
-from dataclasses import dataclass
 from operator import lshift, mul
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -21,8 +20,13 @@ from .codec import BLOCK_BITS, PRIME_INDEX, PRIMES, SYMBOLS_PER_BLOCK
 from .errors import IntegrityFailure, ValueOutOfRange, WrongLength
 
 
-@dataclass(frozen=True)
-class AddSubMatrix:
+# typing.NamedTuple forbids overriding __new__ in the class body, so the
+# range check lives in a subclass of this one-field record.
+class _Orders(NamedTuple):
+    orders: tuple[int, int, int, int]
+
+
+class AddSubMatrix(_Orders):
     """4x4 lookup of +-1 deltas, one order nibble per target in (2,3,5,7).
 
     Bit 1 means +1, bit 0 means -1; nibble bits are read MSB->LSB as
@@ -30,11 +34,12 @@ class AddSubMatrix:
     crosses its own prime, it absorbs it.
     """
 
-    orders: tuple[int, int, int, int]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.orders) != 4 or any(not 0 <= o <= 15 for o in self.orders):
-            raise ValueOutOfRange(f"orders must be four nibbles, got {self.orders!r}")
+    def __new__(cls, orders: tuple[int, int, int, int]) -> "AddSubMatrix":
+        if len(orders) != 4 or any(not 0 <= o <= 15 for o in orders):
+            raise ValueOutOfRange(f"orders must be four nibbles, got {orders!r}")
+        return super().__new__(cls, orders)
 
     def delta(self, target: int, crossed: int) -> int:
         bit = (self.orders[PRIME_INDEX[target]] >> (3 - PRIME_INDEX[crossed])) & 1

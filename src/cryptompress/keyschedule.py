@@ -7,14 +7,13 @@ The 128-bit base key splits into five working parts (sizes in bits):
     tm key 16
     sm key 48 = arrangement 16 | xor subkeys 32
 
-The five 16-bit arrangement words feed the placement table that keys the
-ciphertext scramble; the order word alone builds the Add-Sub Matrix; the
-32 xor-subkey bits split into eight nibbles, one (S, R) pair per prime.
+The five 16-bit arrangement words give the 20 placement nibbles that key
+the ciphertext scramble; the order word alone builds the Add-Sub Matrix;
+the 32 xor-subkey bits split into eight nibbles, one (S, R) pair per prime.
 Failed-attempt hardening appends 32-bit sticky keys, one per round.
 """
 
 import random
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .engine import AddSubMatrix
@@ -23,26 +22,9 @@ from .errors import EntropyUnavailable, WrongLength
 KEY_BYTES = 16
 STICKY_BITS = 32
 
-# Placement-table kinds in scramble cycle order.
-KINDS = ("asmh", "asmv", "rm", "sm", "tm")
-
 
 def _nibbles16(word: int) -> tuple[int, int, int, int]:
     return ((word >> 12) & 15, (word >> 8) & 15, (word >> 4) & 15, word & 15)
-
-
-@dataclass(frozen=True)
-class NibbleTable:
-    """The 20 arrangement nibbles: one per (matrix kind, target slot)."""
-
-    asmh: tuple[int, int, int, int]
-    asmv: tuple[int, int, int, int]
-    rm: tuple[int, int, int, int]
-    sm: tuple[int, int, int, int]
-    tm: tuple[int, int, int, int]
-
-    def group(self, kind_index: int) -> tuple[int, int, int, int]:
-        return getattr(self, KINDS[kind_index])
 
 
 class BaseKey(NamedTuple):
@@ -90,18 +72,13 @@ class KeyChain(NamedTuple):
         return 8 * KEY_BYTES + STICKY_BITS * len(self.sticky)
 
 
-def derive_material(base: BaseKey) -> tuple[AddSubMatrix, NibbleTable]:
-    """Split a base key into its Add-Sub Matrix and placement table; the
-    XOR word's eight subkey nibbles are sticky_nibbles(base.xor_word)."""
-    asm = AddSubMatrix(orders=base.orders)
-    table = NibbleTable(
-        asmh=_nibbles16((base.asm_key >> 16) & 0xFFFF),
-        asmv=_nibbles16(base.asm_key & 0xFFFF),
-        rm=_nibbles16(base.rm_key),
-        sm=_nibbles16(base.sm_key >> 32),
-        tm=_nibbles16(base.tm_key),
-    )
-    return asm, table
+def derive_material(base: BaseKey) -> tuple[AddSubMatrix, tuple[int, ...]]:
+    """Split a base key into its Add-Sub Matrix and its 20 placement
+    nibbles in scramble cycle order: asm rows, asm columns, rm, sm, tm,
+    four each. The XOR word's eight subkey nibbles are
+    sticky_nibbles(base.xor_word)."""
+    words = ((base.asm_key >> 16) & 0xFFFF, base.asm_key & 0xFFFF, base.rm_key, base.sm_key >> 32, base.tm_key)
+    return AddSubMatrix(base.orders), tuple(n for w in words for n in _nibbles16(w))
 
 
 def _draw_bits(rng: random.Random, nbits: int) -> int:

@@ -180,9 +180,9 @@ def test_c07_hardening_locality(golden_chain, golden_block):
 
 
 def _derived_signature(base):
-    asm, table = derive_material(base)
+    asm, nibbles = derive_material(base)
     masked_orders = tuple(o & ~(1 << (3 - i)) for i, o in enumerate(asm.orders))
-    table_mod4 = tuple(n % 4 for k in range(5) for n in table.group(k))
+    table_mod4 = tuple(n % 4 for n in nibbles)
     return masked_orders, table_mod4, sticky_nibbles(base.xor_word)
 
 

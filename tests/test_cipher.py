@@ -198,7 +198,7 @@ def test_scramble_golden_placement(golden, golden_chain, golden_block):
     scrambled = scramble(cells, key.slots)
     want = golden["scramble_placement"]
     for k, kind in enumerate(("asmh", "asmv", "rm", "sm", "tm")):
-        got = [label[id(scrambled[k * 4 + i])] for i in range(4)]
+        got = [label[id(scrambled[i * 5 + k])] for i in range(4)]
         assert got == want[kind], (kind, got, want[kind])
     assert scrambled == cm.encrypt_block(golden_block, golden_chain).cells
 

@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -248,3 +252,13 @@ def test_failed_replace_leaves_files_and_no_temp(tmp_path, golden_key_file, monk
     monkeypatch.setattr(os, "replace", refuse)
     assert main(["harden", "--key", str(key), "--cipher", str(cipher)]) == 3
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+
+
+def test_cli_import_loads_no_dataclasses():
+    """The CLI's records are NamedTuples, so importing it does not pull in
+    `dataclasses` (and through it inspect, ast, dis and tokenize)."""
+    code = "import sys; before = set(sys.modules); import cryptompress.cli; print('dataclasses' in set(sys.modules) - before)"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

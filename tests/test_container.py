@@ -53,6 +53,28 @@ def test_key_file_length_follows_sticky_count():
         assert len(container.write_key(chain)) == 21 + 4 * k
 
 
+def test_grid_cells_are_held_in_wire_order():
+    """A grid's cells are the wire's row-major cells: write_cipher encodes
+    them in order after each block's two order bytes, read_cipher returns
+    them as they came, and rows() slices them five at a time."""
+    from cryptompress.container import HEADER_BYTES, _encode_cell
+
+    rng = random.Random(26)
+    for depth in range(4):
+        for _ in range(25):
+            msg = random_message(rng, random_chain(rng, depth), nblocks=rng.randrange(1, 4))
+            data = container.write_cipher(msg)
+            pos = HEADER_BYTES
+            for grid in msg.grids:
+                body = b"".join(_encode_cell(c) for c in grid.cells)
+                assert data[pos + 2 : pos + 2 + len(body)] == body
+                pos += 2 + len(body)
+                for r in range(4):
+                    assert grid.rows()[r] == list(grid.cells[5 * r : 5 * r + 5])
+            assert pos == len(data)
+            assert container.read_cipher(data).grids == msg.grids
+
+
 def test_cipher_round_trip_1000():
     rng = random.Random(23)
     for _ in range(1000):
@@ -152,9 +174,8 @@ def _encode_without_checks(msg):
         o = grid.orders
         out.append((o[0] << 4) | o[1])
         out.append((o[2] << 4) | o[3])
-        for row in range(4):
-            for kind in range(5):
-                out += _encode_cell(grid.cell(kind, row))
+        for cell in grid.cells:
+            out += _encode_cell(cell)
     return bytes(out)
 
 

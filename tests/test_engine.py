@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from cryptompress import codec
 from cryptompress.engine import AddSubMatrix, CompressedBlock, compress_block, decompress_block
-from cryptompress.errors import IntegrityFailure
+from cryptompress.errors import IntegrityFailure, ValueOutOfRange
 from test_compress_oracle import EmptyResidual, SequenceEvent, traverse_target
 
 st_orders = st.tuples(*[st.integers(0, 15)] * 4)
@@ -65,6 +65,18 @@ def test_all_ones_orders_give_plus_one_everywhere():
         for c in codec.PRIMES:
             if t != c:
                 assert asm.delta(t, c) == 1
+
+
+@pytest.mark.parametrize("orders", [(16, 0, 0, 0), (0, 0, -1, 0), (1, 2, 3)])
+def test_asm_rejects_orders_that_are_not_four_nibbles(orders):
+    with pytest.raises(ValueOutOfRange):
+        AddSubMatrix(orders)
+
+
+def test_asm_equality_and_hash_follow_orders():
+    a, b = AddSubMatrix((9, 4, 0, 15)), AddSubMatrix(orders=(9, 4, 0, 15))
+    assert a == b and hash(a) == hash(b)
+    assert a != AddSubMatrix((9, 4, 0, 14))
 
 
 def test_golden_first_traversal(golden, golden_chain):
