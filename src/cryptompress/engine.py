@@ -16,7 +16,7 @@ residual is empty.
 from operator import lshift, mul
 from typing import Mapping, NamedTuple, Optional, Sequence
 
-from .codec import BLOCK_BITS, PRIME_INDEX, PRIMES, SYMBOLS_PER_BLOCK
+from .codec import BLOCK_BITS, PRIME_INDEX, PRIMES, SHIFTS, SYMBOLS_PER_BLOCK
 from .errors import IntegrityFailure, ValueOutOfRange, WrongLength
 
 
@@ -74,9 +74,6 @@ class TraceStep(NamedTuple):
     value: int
 
 
-_SHIFTS = range(BLOCK_BITS - 2, -1, -2)  # symbol i is the bit pair (block >> _SHIFTS[i]) & 3
-
-
 def compress_block(
     block: int,
     deltas: Sequence[Sequence[int]],
@@ -88,7 +85,7 @@ def compress_block(
     earlier targets kept once. `trace`, when given, receives every step."""
     if not isinstance(block, int) or not 0 <= block < 1 << BLOCK_BITS:
         raise WrongLength(f"block must be a 30-bit value, got {block!r}")
-    residual = [(block >> shift) & 3 for shift in _SHIFTS]
+    residual = [(block >> shift) & 3 for shift in SHIFTS]
     rm: list[Optional[int]] = [None] * len(PRIMES)
     sm: dict[int, list[tuple[int, int]]] = {t: [] for t in range(len(PRIMES))}
     processed: list[tuple[int, int]] = []  # (prime index, last_seq) in order
@@ -183,4 +180,4 @@ def decompress_block(
     # match only if no other prime has an outcome or events.
     if rm.count(None) != len(PRIMES) - len(occupied) or sum(map(len, sm.values())) != n_events:
         raise IntegrityFailure("a prime without a term slot has an outcome or events")
-    return sum(map(lshift, block, _SHIFTS))
+    return sum(map(lshift, block, SHIFTS))

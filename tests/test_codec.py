@@ -118,13 +118,13 @@ def test_unmap_rejects_wrong_length_and_bad_symbols():
 
 
 def test_segment_30_bits_is_one_block():
-    msg = codec.segment_bits(0x2AF738F9, 30)
+    msg = segment_bits(0x2AF738F9, 30)
     assert msg.blocks == (0x2AF738F9,)
     assert msg.tail_bits == 30
 
 
 def test_segment_31_bits_is_two_blocks_tail_1():
-    msg = codec.segment_bits(1, 31)
+    msg = segment_bits(1, 31)
     assert len(msg.blocks) == 2
     assert msg.tail_bits == 1
     # 31st bit ends up as the MSB of the final block
@@ -158,7 +158,7 @@ def test_segment_reassemble_identity_1mib():
 @given(st.integers(min_value=1, max_value=600), st.data())
 def test_segment_reassemble_bits_identity(nbits, data):
     value = data.draw(st.integers(min_value=0, max_value=(1 << nbits) - 1))
-    assert codec.reassemble_bits(codec.segment_bits(value, nbits)) == (value, nbits)
+    assert reassemble_bits(segment_bits(value, nbits)) == (value, nbits)
 
 
 def test_reassemble_rejects_non_byte_totals():
