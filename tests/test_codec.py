@@ -8,7 +8,7 @@ from cryptompress.codec import BLOCK_BITS, PaddedMessage
 from cryptompress.errors import EmptyInput, ValueOutOfRange, WrongLength
 
 
-# Reference codec: the bit-width split that cut the payload as one int.
+# Reference codec: the bit-width split, which reads the whole payload as one int.
 # The chunked codec must give the same blocks and the same bytes.
 def segment_bits(value: int, nbits: int) -> PaddedMessage:
     """Split an nbits-wide value (MSB-first) into 30-bit blocks, zero-
