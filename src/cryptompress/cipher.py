@@ -9,10 +9,12 @@ term pair.
 
 A key chain is compiled once (compile_key). Each sticky round maps a
 stored (S, R) pair to (R xor k_r, S xor k_s), so the base XOR and every
-sticky round compose into one XOR with a 32-bit mask plus a swap when the
-chain's depth is odd; the 20 swaps of the scramble compose into one slot
-table. The mask is the only part of the key that depends on the XOR word
-or the sticky words; the rest is built once per base key structure.
+sticky round compose into one 32-bit mask plus a swap when the chain's
+depth is odd, and the 20 swaps of the scramble into one slot table; the
+rest of the key is built once per base key structure. seal_pairs is the
+one place the SM layer touches pairs: encrypt seals under (mask, swap),
+decrypt under nswap(mask) when the chain swaps, and a hardening round is
+a seal under nswap(word) with a swap.
 """
 
 import random
@@ -30,7 +32,7 @@ from .errors import (
     RoundCountMismatch,
     ValueOutOfRange,
 )
-from .keyschedule import BaseKey, KeyChain, derive_material, extend_key, sticky_nibbles
+from .keyschedule import BaseKey, KeyChain, derive_material, extend_key
 
 N_KINDS = 5
 N_SLOTS = 4
@@ -197,23 +199,13 @@ def compile_key(chain: KeyChain) -> CompiledKey:
     )
 
 
-def _pair_mask(mask: int, prime_index: int) -> tuple[int, int]:
-    return (mask >> (28 - 8 * prime_index)) & 15, (mask >> (24 - 8 * prime_index)) & 15
-
-
-def seal_pairs(pairs, key: CompiledKey, prime_index: int) -> tuple[tuple[int, int], ...]:
-    """The whole SM key layer on one prime's (S, R) pairs: the base XOR
-    and every sticky round, as one swap-then-XOR."""
-    ms, mr = _pair_mask(key.mask, prime_index)
-    if key.swap:
+def seal_pairs(pairs, mask: int, swap: bool, prime_index: int) -> tuple[tuple[int, int], ...]:
+    """The SM key layer on one prime's (S, R) pairs: swap the halves when
+    `swap`, then XOR with the prime's byte of `mask`, S nibble high."""
+    ms, mr = mask >> (28 - 8 * prime_index) & 15, mask >> (24 - 8 * prime_index) & 15
+    if swap:
         return tuple([(r ^ ms, s ^ mr) for s, r in pairs])
     return tuple([(s ^ ms, r ^ mr) for s, r in pairs])
-
-
-def sticky_round(pairs, k_s: int, k_r: int) -> tuple[tuple[int, int], ...]:
-    """One more hardening round on stored pairs: XOR both halves with the
-    prime's sticky nibbles, then swap them."""
-    return tuple((r ^ k_r, s ^ k_s) for s, r in pairs)
 
 
 @lru_cache(maxsize=64)
@@ -224,13 +216,13 @@ def _asm_cells(orders: tuple[int, int, int, int]) -> tuple[Cell, ...]:
     return tuple((ASM, i % 4, m) for i, m in enumerate(orders + tuple(columns)))
 
 
-def data_cells(cb: CompressedBlock, key: Optional[CompiledKey] = None) -> tuple[Cell, ...]:
+def data_cells(cb: CompressedBlock, mask: int = 0, swap: bool = False) -> tuple[Cell, ...]:
     """The 12 data cells (rm, sm, tm) a compressed block contributes, the
-    sequence lists sealed under `key` when one is given."""
+    sequence lists sealed under (mask, swap); the defaults leave them clear."""
     rm, sm, tm = cb
     return (
         *[(EMPTY,) if v is None else (RM, v) for v in rm],
-        *[(SM, tuple(sm[i]) if key is None else seal_pairs(sm[i], key, i)) for i in range(N_SLOTS)],
+        *[(SM, seal_pairs(sm[i], mask, swap, i)) for i in range(N_SLOTS)],
         *[(EMPTY,) if slot is None else (TM, *slot) for slot in tm],
     )
 
@@ -243,7 +235,7 @@ def encrypt_block(block: int, chain: KeyChain) -> CipherGrid:
     runs here."""
     key = compile_key(chain)
     orders = key.asm.orders
-    cells = _asm_cells(orders) + data_cells(compress_block(block, key.deltas), key)
+    cells = _asm_cells(orders) + data_cells(compress_block(block, key.deltas), key.mask, key.swap)
     out: list[Optional[Cell]] = [None] * N_CELLS
     for cell, j in zip(cells, key.slots):
         out[j] = cell
@@ -292,13 +284,13 @@ def decrypt_block(grid: CipherGrid, chain: KeyChain) -> int:
     tm = [t[1:] if t[0] == TM else None for t in c[4 * N_SLOTS :]]
     if not _CODES.issuperset([t[0] for t in tm if t]):
         raise IntegrityFailure(f"a term cell names no prime: {tm}")
-    sm: dict[int, list[tuple[int, int]]] = {}
+    mask = _nswap(key.mask) if key.swap else key.mask  # unseals what key.mask, key.swap sealed
+    sm = {}
     for i, (_, pairs) in enumerate(c[SM_BASE : 4 * N_SLOTS]):
-        ms, mr = _pair_mask(key.mask, i)
         for a, b in pairs:
             if (a | b) >> 4:
                 raise ValueOutOfRange(f"prime {PRIMES[i]}: ({a},{b}) does not fit a nibble")
-        sm[i] = [(b ^ mr, a ^ ms) for a, b in pairs] if key.swap else [(a ^ ms, b ^ mr) for a, b in pairs]
+        sm[i] = seal_pairs(pairs, mask, key.swap, i)
     return decompress_block(rm, sm, tm, key.deltas)
 
 
@@ -308,13 +300,13 @@ def harden_message(
     """Respond to a failed attempt: grow the chain by one 32-bit sticky
     key and rewrite the sequence portion of every block's ciphertext.
 
-    Cell placement is untouched: the round is applied to the four
-    sequence-list cells where they sit in the scrambled grid.
+    Cell placement is untouched: the round, a swapping seal under
+    nswap(word), rewrites the four sequence-list cells where they sit.
     """
     for grid in grids:
         check_rounds(grid.sticky_rounds, chain)
     new_chain = extend_key(chain, rng)
-    ks = sticky_nibbles(new_chain.sticky[-1])
+    word = _nswap(new_chain.sticky[-1])
     sm_slots = compile_key(chain).slots[SM_BASE : SM_BASE + N_SLOTS]
     out = []
     for grid in grids:
@@ -324,7 +316,7 @@ def harden_message(
             c = cells[j]
             if c[0] != SM:
                 raise IntegrityFailure(f"sequence slot for prime {PRIMES[i]} holds {KINDS[c[0]].name}")
-            cells[j] = (SM, sticky_round(c[1], ks[2 * i], ks[2 * i + 1]))
+            cells[j] = (SM, seal_pairs(c[1], word, True, i))
         out.append(
             CipherGrid(orders=grid.orders, cells=tuple(cells), sticky_rounds=grid.sticky_rounds + 1)
         )

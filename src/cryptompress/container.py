@@ -171,6 +171,8 @@ def read_header(data: bytes) -> tuple[int, int, int]:
     tail_bits = data[10]
     if not 1 <= tail_bits <= 30:
         raise MalformedCell(f"tail_bits must be in [1,30], got {tail_bits}")
+    if (30 * (block_count - 1) + tail_bits) % 8:
+        raise MalformedCell(f"{block_count} blocks with {tail_bits} tail bits are not whole bytes")
     return rounds, block_count, tail_bits
 
 

@@ -85,7 +85,7 @@ def test_c03_golden_xor_layer(golden, golden_chain):
     assert sticky_nibbles(golden_chain.base.xor_word) == (1, 2, 3, 4, 5, 6, 7, 8)
     sm = {p: [tuple(e) for e in golden["sm"][str(p)]] for p in PRIMES}
     key = compile_key(golden_chain)
-    out = {p: seal_pairs(sm[p], key, i) for i, p in enumerate(PRIMES)}
+    out = {p: seal_pairs(sm[p], key.mask, key.swap, i) for i, p in enumerate(PRIMES)}
     assert [tuple(e) for e in out[2]] == [(0, 3)]
     assert [tuple(e) for e in out[3]] == [(0, 5)]
     assert [tuple(e) for e in out[5]] == [(4, 4), (13, 7), (9, 7)]

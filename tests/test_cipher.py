@@ -16,7 +16,6 @@ from cryptompress.cipher import (
     compile_key,
     data_cells,
     seal_pairs,
-    sticky_round,
 )
 from cryptompress.engine import AddSubMatrix, compress_block
 from cryptompress.errors import (
@@ -61,12 +60,19 @@ def chain_with_xor_word(word, sticky=(), rng=None):
 def seal(sm, chain):
     """The compiled SM layer over a whole sequence matrix."""
     key = compile_key(chain)
-    return {p: [SequenceEvent(*e) for e in seal_pairs(sm[p], key, i)] for i, p in enumerate(PRIMES)}
+    return {p: [SequenceEvent(*e) for e in seal_pairs(sm[p], key.mask, key.swap, i)] for i, p in enumerate(PRIMES)}
 
 
 def unseal(sm, chain):
     key = compile_key(chain)
     return {p: open_pairs(sm[p], key, i) for i, p in enumerate(PRIMES)}
+
+
+def sticky_round(pairs, k_s: int, k_r: int) -> tuple[tuple[int, int], ...]:
+    """One more hardening round on stored pairs: XOR both halves with the
+    prime's sticky nibbles, then swap them. The cipher applies it as a
+    swapping seal under the nibble-swapped word; this keeps the definition."""
+    return tuple((r ^ k_r, s ^ k_s) for s, r in pairs)
 
 
 # Step-by-step reference for the SM layer: the base XOR, then one
@@ -190,7 +196,7 @@ def test_scramble_golden_placement(golden, golden_chain, golden_block):
     """The hand-replayed 20-swap placement for the worked-example key."""
     key = compile_key(golden_chain)
     cb = compress_block(golden_block, key.deltas)
-    cells = _asm_cells(key.asm.orders) + data_cells(cb, key)
+    cells = _asm_cells(key.asm.orders) + data_cells(cb, key.mask, key.swap)
     # label by object identity: equal-looking cells (H3/V3 here) must not
     # be confused, the schedule moves instances
     names = [f"{kind}{p}" for kind in "HVRST" for p in PRIMES]
@@ -337,6 +343,31 @@ def test_harden_with_stale_chain_raises(golden_chain, golden_block):
         cm.harden_message((grid2,), golden_chain, random.Random(5))
     with pytest.raises(RoundCountMismatch):
         cm.decrypt_block(grid2, golden_chain)
+
+
+def reference_harden(grid, chain, word):
+    """One hardening round the step-by-step way: sticky_round, fed the new
+    word's nibbles, on each of the four sequence-list cells in place."""
+    ks = sticky_nibbles(word)
+    cells = list(grid.cells)
+    for i, j in enumerate(compile_key(chain).slots[SM_BASE : SM_BASE + 4]):
+        assert cells[j][0] == SM
+        cells[j] = (SM, sticky_round(cells[j][1], ks[2 * i], ks[2 * i + 1]))
+    return CipherGrid(grid.orders, tuple(cells), grid.sticky_rounds + 1)
+
+
+def test_harden_matches_reference_rounds_at_every_depth():
+    """harden_message against the unfolded round at sticky depths 0-8;
+    the golden lock covers depths 0 and 2 only."""
+    rng = random.Random(41)
+    for depth in range(9):
+        chain = random_chain(rng, depth)
+        blocks = [rng.getrandbits(30) for _ in range(24)]
+        grids = tuple(cm.encrypt_block(b, chain) for b in blocks)
+        hardened, grown = cm.harden_message(grids, chain, random.Random(depth))
+        assert grown.base == chain.base and grown.sticky[:-1] == chain.sticky
+        assert hardened == tuple(reference_harden(g, chain, grown.sticky[-1]) for g in grids)
+        assert [cm.decrypt_block(g, grown) for g in hardened] == blocks
 
 
 def test_sm_values_stay_nibbles_after_many_rounds(golden_chain, golden_block):

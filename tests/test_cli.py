@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cryptompress import container
+from cryptompress import cli, container
 from cryptompress.cipher import SM
 from cryptompress.cli import main
 
@@ -232,6 +232,29 @@ def test_stale_key_refused_from_header_before_any_block_is_parsed(tmp_path, gold
     monkeypatch.setattr(container, "_decode_cell", no_block_parsing)
     assert main(["decrypt", "--key", str(stale), "--in", str(cipher), "--out", str(tmp_path / "o")]) == 2
     assert main(["harden", "--key", str(stale), "--cipher", str(cipher)]) == 2
+
+
+def test_tail_bits_that_end_no_byte_exit_3_before_any_block_is_decrypted(tmp_path, golden_key_file, monkeypatch):
+    """64 bytes are 18 blocks with 2 tail bits; with 3 the file could never
+    decrypt, so every command refuses it from the header and changes nothing."""
+    plain = tmp_path / "p.bin"
+    plain.write_bytes(bytes(range(64)))
+    cipher = tmp_path / "c.cmc"
+    assert main(["encrypt", "--key", golden_key_file, "--in", str(plain), "--out", str(cipher)]) == 0
+    data = bytearray(cipher.read_bytes())
+    assert data[10] == 2
+    data[10] = 3
+    cipher.write_bytes(bytes(data))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+
+    def no_block_decrypt(*args):
+        raise AssertionError("a block was decrypted")
+
+    monkeypatch.setattr(cli, "decrypt_block", no_block_decrypt)
+    assert main(["decrypt", "--key", golden_key_file, "--in", str(cipher), "--out", str(tmp_path / "o.bin")]) == 3
+    assert main(["harden", "--key", golden_key_file, "--cipher", str(cipher)]) == 3
+    assert main(["inspect", "--cipher", str(cipher), "--json"]) == 3
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
 
 
 def test_failed_replace_leaves_files_and_no_temp(tmp_path, golden_key_file, monkeypatch):

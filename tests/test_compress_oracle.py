@@ -138,7 +138,7 @@ def reference_data_cells(cb: PrimeBlock, key) -> tuple:
         v = cb.rm.get(p)
         cells.append((EMPTY,) if v is None else (RM, v))
     for i, p in enumerate(PRIMES):
-        cells.append((SM, seal_pairs(cb.sm.get(p, []), key, i)))
+        cells.append((SM, seal_pairs(cb.sm.get(p, []), key.mask, key.swap, i)))
     for slot in cb.tm:
         if slot is None:
             cells.append((EMPTY,))

@@ -24,9 +24,14 @@ def random_chain(rng, depth=0):
     return chain
 
 
+def valid_tails(nblocks):
+    """The tail-bit counts with which `nblocks` blocks end on a whole byte."""
+    return [t for t in range(1, 31) if (30 * (nblocks - 1) + t) % 8 == 0]
+
+
 def random_message(rng, chain, nblocks=3):
     grids = tuple(cm.encrypt_block(rng.getrandbits(30), chain) for _ in range(nblocks))
-    return container.CipherMessage(grids=grids, tail_bits=rng.randrange(1, 31))
+    return container.CipherMessage(grids=grids, tail_bits=rng.choice(valid_tails(nblocks)))
 
 
 def test_golden_key_file_bytes(golden, golden_chain):
@@ -84,7 +89,7 @@ def test_cipher_round_trip_1000():
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.binary(min_size=16, max_size=16), st.integers(1, 30), st.integers(0, 2**30 - 1))
+@given(st.binary(min_size=16, max_size=16), st.sampled_from(valid_tails(1)), st.integers(0, 2**30 - 1))
 def test_cipher_round_trip_property(raw, tail_bits, block):
     chain = KeyChain(base=cm.BaseKey.from_bytes(raw))
     msg = container.CipherMessage(grids=(cm.encrypt_block(block, chain),), tail_bits=tail_bits)
@@ -102,7 +107,7 @@ def test_key_truncation_sweep(golden_chain):
 
 def test_cipher_truncation_sweep(golden_chain, golden_block):
     msg = container.CipherMessage(
-        grids=(cm.encrypt_block(golden_block, golden_chain),) * 2, tail_bits=30
+        grids=(cm.encrypt_block(golden_block, golden_chain),) * 2, tail_bits=26
     )
     data = container.write_cipher(msg)
     for cut in range(len(data)):
@@ -118,7 +123,7 @@ def test_bad_magic():
 
 
 def test_bad_version(golden_chain, golden_block):
-    msg = container.CipherMessage(grids=(cm.encrypt_block(golden_block, golden_chain),), tail_bits=30)
+    msg = container.CipherMessage(grids=(cm.encrypt_block(golden_block, golden_chain),), tail_bits=24)
     data = bytearray(container.write_cipher(msg))
     data[4] = 2
     with pytest.raises(BadVersion):
@@ -129,13 +134,13 @@ def test_trailing_bytes_rejected(golden_chain, golden_block):
     key_data = container.write_key(golden_chain)
     with pytest.raises(MalformedCell):
         container.read_key(key_data + b"\x00")
-    msg = container.CipherMessage(grids=(cm.encrypt_block(golden_block, golden_chain),), tail_bits=30)
+    msg = container.CipherMessage(grids=(cm.encrypt_block(golden_block, golden_chain),), tail_bits=24)
     with pytest.raises(MalformedCell):
         container.read_cipher(container.write_cipher(msg) + b"\x00")
 
 
 def test_unknown_cell_tag_rejected(golden_chain, golden_block):
-    msg = container.CipherMessage(grids=(cm.encrypt_block(golden_block, golden_chain),), tail_bits=30)
+    msg = container.CipherMessage(grids=(cm.encrypt_block(golden_block, golden_chain),), tail_bits=24)
     data = bytearray(container.write_cipher(msg))
     # first cell tag sits right after header (11 bytes) + packed orders (2)
     assert data[13] in range(5)
@@ -152,7 +157,7 @@ def test_inventory_mismatch(golden_chain, golden_block):
     cells[idx] = (EMPTY,)
     bad = container.CipherMessage(
         grids=(cm.CipherGrid(orders=grid.orders, cells=tuple(cells), sticky_rounds=0),),
-        tail_bits=30,
+        tail_bits=24,
     )
     data = _encode_without_checks(bad)
     with pytest.raises(InventoryMismatch):
@@ -185,13 +190,13 @@ def test_write_cipher_rejects_mixed_rounds(golden_chain, golden_block):
     chain1 = extend_key(golden_chain, rng)
     g1 = cm.encrypt_block(golden_block, chain1)
     with pytest.raises(RoundCountMismatch):
-        container.write_cipher(container.CipherMessage(grids=(g0, g1), tail_bits=30))
+        container.write_cipher(container.CipherMessage(grids=(g0, g1), tail_bits=26))
 
 
 def test_sticky_rounds_survive_serialization(golden_chain, golden_block):
     rng = random.Random(26)
     chain = extend_key(extend_key(golden_chain, rng), rng)
-    msg = container.CipherMessage(grids=(cm.encrypt_block(golden_block, chain),), tail_bits=30)
+    msg = container.CipherMessage(grids=(cm.encrypt_block(golden_block, chain),), tail_bits=24)
     back = container.read_cipher(container.write_cipher(msg))
     assert back.sticky_rounds == 2
     assert back.grids[0].sticky_rounds == 2
@@ -203,9 +208,26 @@ def test_zero_block_count_rejected():
         container.read_cipher(data)
 
 
+def test_header_accepts_exactly_the_tails_of_byte_payloads():
+    """read_header takes (count, tail_bits) only when 30*(count - 1) +
+    tail_bits is whole bytes, which is every pair a byte payload yields and
+    nothing else; any other tail is a MalformedCell."""
+    produced = {(len(m.blocks), m.tail_bits) for m in map(cm.segment_message, map(bytes, range(1, 31)))}
+    accepted = set()
+    for count in range(1, 9):
+        for tail in range(1, 31):
+            header = b"CMC1" + bytes([1, 0]) + count.to_bytes(4, "big") + bytes([tail])
+            try:
+                assert container.read_header(header) == (0, count, tail)
+                accepted.add((count, tail))
+            except MalformedCell:
+                pass
+    assert accepted == produced
+
+
 def test_byte_flip_fuzz_never_crashes(golden_chain, golden_block):
     """Any single byte corruption parses to a typed error or a value."""
-    msg = container.CipherMessage(grids=(cm.encrypt_block(golden_block, golden_chain),), tail_bits=30)
+    msg = container.CipherMessage(grids=(cm.encrypt_block(golden_block, golden_chain),), tail_bits=24)
     data = container.write_cipher(msg)
     rng = random.Random(27)
     for _ in range(300):

@@ -27,7 +27,6 @@ from cryptompress.cipher import (
     SM_BASE,
     TM,
     CipherGrid,
-    _pair_mask,
     check_rounds,
     compile_key,
 )
@@ -39,6 +38,11 @@ from test_acceptance import closed_form_outcomes
 from test_compress_oracle import PrimeBlock, SequenceEvent, index_shape, reference_compress, unscramble
 
 PRIME_INDEX = codec.PRIME_INDEX
+
+
+def _pair_mask(mask, prime_index):
+    """The prime's (S, R) mask nibbles: its byte of `mask`, S nibble high."""
+    return (mask >> (28 - 8 * prime_index)) & 15, (mask >> (24 - 8 * prime_index)) & 15
 
 
 def open_pairs(pairs, key, prime_index):
