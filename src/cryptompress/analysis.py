@@ -202,7 +202,10 @@ def random_blocks(count: int, seed: int) -> list[int]:
 
 
 def _grid_bytes(grid: CipherGrid) -> bytes:
-    return write_cipher(CipherMessage(grids=(grid,), tail_bits=codec.BLOCK_BITS))
+    """One grid as a one-block cipher file. 24 tail bits make its payload
+    whole bytes; both grids of a pair share the header, so no distance
+    depends on it."""
+    return write_cipher(CipherMessage(grids=(grid,), tail_bits=24))
 
 
 def _hamming(a: bytes, b: bytes) -> int:

@@ -10,8 +10,9 @@ and 20 tagged cells row-major. All multi-byte integers are big-endian.
 """
 
 import struct
+from functools import lru_cache
 from itertools import chain
-from operator import le
+from operator import itemgetter, le
 from typing import NamedTuple
 
 from .cipher import (
@@ -27,6 +28,7 @@ from .cipher import (
 from .errors import (
     BadMagic,
     BadVersion,
+    ContainerError,
     InventoryMismatch,
     MalformedCell,
     RoundCountMismatch,
@@ -122,11 +124,20 @@ def _decode_cell(data: bytes, pos: int) -> tuple[Cell, int]:
     return cell, end
 
 
+def _check_tail(block_count: int, tail_bits: int, exc: type[Exception]) -> None:
+    """Raise `exc` unless the last of `block_count` blocks holds
+    `tail_bits` bits and the payload ends on a whole byte, as every payload
+    that segment_message cuts does; the writer and the reader share it."""
+    if not 1 <= tail_bits <= 30:
+        raise exc(f"tail_bits must be in [1,30], got {tail_bits}")
+    if (30 * (block_count - 1) + tail_bits) % 8:
+        raise exc(f"{block_count} blocks with {tail_bits} tail bits are not whole bytes")
+
+
 def write_cipher(msg: CipherMessage) -> bytes:
     if not msg.grids:
         raise MalformedCell("a cipher file needs at least one block")
-    if not 1 <= msg.tail_bits <= 30:
-        raise ValueOutOfRange(f"tail_bits must be in [1,30], got {msg.tail_bits}")
+    _check_tail(len(msg.grids), msg.tail_bits, ValueOutOfRange)
     rounds = msg.grids[0].sticky_rounds
     if any(g.sticky_rounds != rounds for g in msg.grids):
         raise RoundCountMismatch("blocks disagree about sticky depth")
@@ -169,14 +180,64 @@ def read_header(data: bytes) -> tuple[int, int, int]:
     if len(data) < HEADER_BYTES:
         raise _truncated(data, 10, 1)
     tail_bits = data[10]
-    if not 1 <= tail_bits <= 30:
-        raise MalformedCell(f"tail_bits must be in [1,30], got {tail_bits}")
-    if (30 * (block_count - 1) + tail_bits) % 8:
-        raise MalformedCell(f"{block_count} blocks with {tail_bits} tail bits are not whole bytes")
+    _check_tail(block_count, tail_bits, MalformedCell)
     return rounds, block_count, tail_bits
 
 
+# Each cell's wire size by tag; an SM cell adds two bytes per pair.
+_WIRE_SIZES = tuple(kind.wire.size for kind in KINDS)
+
+
+@lru_cache(maxsize=1 << 14)
+def _cell(raw: bytes) -> Cell:
+    """The cell whose exact wire bytes are `raw`. Cells repeat heavily
+    within a file (every block carries the same 8 ASM cells), so each
+    distinct one is validated once; the bound keeps memory flat."""
+    return _decode_cell(raw, 0)[0]
+
+
+@lru_cache(maxsize=256)
+def _check_tags(tags: bytes) -> None:
+    """Raise InventoryMismatch unless one block's 20 cell tags, in wire
+    order, make up the 20 logical items."""
+    check_counts([tags.count(tag) for tag in range(N_KINDS)], InventoryMismatch)
+
+
 def read_cipher(data: bytes) -> CipherMessage:
+    """Parse a whole CMC1 file. Each cell's extent comes from its tag and
+    its bytes map to the cell through a memo; on anything a valid file
+    does not hold, _diagnose_cipher reruns the cell-by-cell parse, so a
+    bad file raises exactly the error that parse gives."""
+    rounds, block_count, tail_bits = read_header(data)
+    data = bytes(data)  # memo keys must hash, whatever bytes-like came in
+    sizes, cell = _WIRE_SIZES, _cell
+    pos = HEADER_BYTES
+    grids = []
+    try:
+        for _ in range(block_count):
+            a, b = data[pos], data[pos + 1]
+            pos += 2
+            cells = []
+            for _ in range(N_CELLS):
+                tag = data[pos]
+                end = pos + sizes[tag]
+                if tag == SM:
+                    end += 2 * data[pos + 1]
+                cells.append(cell(data[pos:end]))
+                pos = end
+            _check_tags(bytes(map(itemgetter(0), cells)))
+            grids.append(CipherGrid((a >> 4, a & 15, b >> 4, b & 15), tuple(cells), rounds))
+    except (IndexError, ContainerError):
+        return _diagnose_cipher(data)
+    if pos != len(data):
+        return _diagnose_cipher(data)
+    return CipherMessage(grids=tuple(grids), tail_bits=tail_bits)
+
+
+def _diagnose_cipher(data: bytes) -> CipherMessage:
+    """Parse a CMC1 file one cell at a time from its first byte. The only
+    code that decides which error a malformed file raises, and where;
+    read_cipher runs it when its memoised walk meets such a file."""
     rounds, block_count, tail_bits = read_header(data)
     pos = HEADER_BYTES
     grids = []

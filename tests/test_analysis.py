@@ -156,6 +156,11 @@ def test_avalanche_zero_distance_for_identical_input(golden_chain, golden_block)
     assert analysis._hamming(analysis._grid_bytes(a), analysis._grid_bytes(b)) == 0
 
 
+def test_avalanche_grid_bytes_are_a_readable_file(golden_chain, golden_block):
+    grid = cm.encrypt_block(golden_block, golden_chain)
+    assert cm.read_cipher(analysis._grid_bytes(grid)).grids == (grid,)
+
+
 def test_avalanche_summary_shape(golden_chain):
     report = analysis.avalanche_test(100, golden_chain, seed=9)
     assert report.samples == 100

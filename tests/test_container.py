@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import cryptompress as cm
 from cryptompress import container
-from cryptompress.cipher import EMPTY
+from cryptompress.cipher import EMPTY, RM, SM
 from cryptompress.errors import (
     BadMagic,
     BadVersion,
@@ -13,6 +13,7 @@ from cryptompress.errors import (
     InventoryMismatch,
     MalformedCell,
     RoundCountMismatch,
+    ValueOutOfRange,
 )
 from cryptompress.keyschedule import KeyChain, extend_key, generate_key
 
@@ -208,12 +209,14 @@ def test_zero_block_count_rejected():
         container.read_cipher(data)
 
 
-def test_header_accepts_exactly_the_tails_of_byte_payloads():
+def test_header_accepts_exactly_the_tails_of_byte_payloads(golden_chain, golden_block):
     """read_header takes (count, tail_bits) only when 30*(count - 1) +
     tail_bits is whole bytes, which is every pair a byte payload yields and
-    nothing else; any other tail is a MalformedCell."""
+    nothing else; any other tail is a MalformedCell. write_cipher writes
+    exactly the same pairs and refuses the rest with ValueOutOfRange."""
     produced = {(len(m.blocks), m.tail_bits) for m in map(cm.segment_message, map(bytes, range(1, 31)))}
-    accepted = set()
+    grid = cm.encrypt_block(golden_block, golden_chain)
+    accepted, written = set(), set()
     for count in range(1, 9):
         for tail in range(1, 31):
             header = b"CMC1" + bytes([1, 0]) + count.to_bytes(4, "big") + bytes([tail])
@@ -222,7 +225,13 @@ def test_header_accepts_exactly_the_tails_of_byte_payloads():
                 accepted.add((count, tail))
             except MalformedCell:
                 pass
-    assert accepted == produced
+            try:
+                data = container.write_cipher(container.CipherMessage((grid,) * count, tail))
+                assert data[:11] == header
+                written.add((count, tail))
+            except ValueOutOfRange:
+                pass
+    assert accepted == written == produced
 
 
 def test_byte_flip_fuzz_never_crashes(golden_chain, golden_block):
@@ -253,3 +262,73 @@ def test_random_garbage_never_crashes():
     huge = b"CMC1" + bytes([1, 0]) + (0xFFFFFFFF).to_bytes(4, "big") + bytes([30])
     with pytest.raises(ContainerError):
         container.read_cipher(huge)
+
+
+def _outcome(parse, data):
+    try:
+        return parse(data)
+    except ContainerError as exc:
+        return type(exc), str(exc)
+
+
+def _pairs(rng, count):
+    return tuple((rng.randrange(16), rng.randrange(16)) for _ in range(count))
+
+
+def _redraw(grid, tag, draw):
+    """`grid` with each cell of kind `tag` replaced by (tag, draw())."""
+    return grid._replace(cells=tuple((tag, draw()) if c[0] == tag else c for c in grid.cells))
+
+
+@pytest.fixture(scope="module")
+def valid_files():
+    """Seeded valid cipher files: random messages at sticky depths 0-3,
+    one whose SM lists run to 16-255 pairs, and one with more distinct
+    cells than read_cipher's cell memo holds."""
+    rng = random.Random(29)
+    messages = []
+    for depth in range(4):
+        for _ in range(10):
+            messages.append(random_message(rng, random_chain(rng, depth), nblocks=rng.randrange(1, 7)))
+    chain = random_chain(rng, 1)
+    grids = [cm.encrypt_block(rng.getrandbits(30), chain) for _ in range(64)]
+    long_lists = tuple(_redraw(g, SM, lambda: _pairs(rng, rng.randrange(16, 256))) for g in grids[:8])
+    messages.append(container.CipherMessage(long_lists, 30))
+    fresh = (_redraw(grids[i % 64], RM, lambda: rng.getrandbits(31)) for i in range(4000))
+    fresh = tuple(_redraw(g, SM, lambda: _pairs(rng, 3)) for g in fresh)
+    messages.append(container.CipherMessage(fresh, 30))
+    return [container.write_cipher(msg) for msg in messages]
+
+
+def test_fast_walk_parses_valid_files_as_the_diagnoser_does(valid_files, monkeypatch):
+    distinct = {c for g in container.read_cipher(valid_files[-1]).grids for c in g.cells}
+    assert len(distinct) > container._cell.cache_info().maxsize
+    assert max(len(c[1]) for c in container.read_cipher(valid_files[-2]).grids[0].cells if c[0] == SM) > 15
+    expected = [container._diagnose_cipher(data) for data in valid_files]
+
+    def no_diagnosis(data):
+        raise AssertionError("a valid file fell back to the diagnoser")
+
+    monkeypatch.setattr(container, "_diagnose_cipher", no_diagnosis)
+    for data, want in zip(valid_files, expected):
+        assert container.read_cipher(data) == want
+
+
+def test_fast_walk_fails_as_the_diagnoser_does(valid_files):
+    """Seeded mutations of small valid files: read_cipher and the diagnoser
+    return equal messages or raise the same error with the same message."""
+    rng = random.Random(30)
+    for _ in range(1500):
+        data = bytearray(rng.choice(valid_files[:40]))
+        pos = rng.randrange(len(data))
+        op = rng.randrange(4)
+        if op == 0:
+            data[pos] ^= 1 << rng.randrange(8)
+        elif op == 1:
+            data[pos] = rng.randrange(256)
+        elif op == 2:
+            del data[pos:]
+        else:
+            data.insert(pos, rng.randrange(256))
+        data = bytes(data)
+        assert _outcome(container.read_cipher, data) == _outcome(container._diagnose_cipher, data)
