@@ -202,9 +202,8 @@ def random_blocks(count: int, seed: int) -> list[int]:
 
 
 def _grid_bytes(grid: CipherGrid) -> bytes:
-    """One grid as a one-block cipher file. 24 tail bits make its payload
-    whole bytes; both grids of a pair share the header, so no distance
-    depends on it."""
+    # 24 tail bits end one block on a whole byte; both grids of a pair
+    # share the header, so no distance depends on it
     return write_cipher(CipherMessage(grids=(grid,), tail_bits=24))
 
 
