@@ -16,6 +16,7 @@ from cryptompress.errors import (
     ValueOutOfRange,
 )
 from cryptompress.keyschedule import KeyChain, extend_key, generate_key
+from test_parse_verdicts import draw_mutation, mutate
 
 
 def random_chain(rng, depth=0):
@@ -319,16 +320,6 @@ def test_fast_walk_fails_as_the_diagnoser_does(valid_files):
     return equal messages or raise the same error with the same message."""
     rng = random.Random(30)
     for _ in range(1500):
-        data = bytearray(rng.choice(valid_files[:40]))
-        pos = rng.randrange(len(data))
-        op = rng.randrange(4)
-        if op == 0:
-            data[pos] ^= 1 << rng.randrange(8)
-        elif op == 1:
-            data[pos] = rng.randrange(256)
-        elif op == 2:
-            del data[pos:]
-        else:
-            data.insert(pos, rng.randrange(256))
-        data = bytes(data)
+        data = rng.choice(valid_files[:40])
+        data = mutate(data, *draw_mutation(rng, len(data)))
         assert _outcome(container.read_cipher, data) == _outcome(container._diagnose_cipher, data)

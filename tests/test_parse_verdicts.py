@@ -37,7 +37,7 @@ KINDS = ("flip", "set", "cut", "insert")
 _PARSER = functools.cache(cli.build_parser)
 
 
-def _mutate(data: bytes, kind: str, pos: int, value: int) -> bytes:
+def mutate(data: bytes, kind: str, pos: int, value: int) -> bytes:
     if kind == "flip":
         return data[:pos] + bytes([data[pos] ^ (1 << value)]) + data[pos + 1 :]
     if kind == "set":
@@ -47,7 +47,7 @@ def _mutate(data: bytes, kind: str, pos: int, value: int) -> bytes:
     return data[:pos] + bytes([value]) + data[pos:]
 
 
-def _draw(rng: random.Random, size: int) -> list:
+def draw_mutation(rng: random.Random, size: int) -> list:
     kind = rng.choice(KINDS)
     if kind == "flip":
         return [kind, rng.randrange(size), rng.randrange(8)]
@@ -105,13 +105,13 @@ def _golden_files() -> tuple[bytes, bytes]:
 
 
 def _cipher_entry(files: _Files, key: bytes, cipher: bytes, mutation: list) -> list:
-    bad = _mutate(cipher, *mutation)
+    bad = mutate(cipher, *mutation)
     decrypt = files.decrypt(key, bad)
     return [*mutation, *_verdict(container.read_cipher, bad), decrypt, files.inspect()]
 
 
 def _key_entry(files: _Files, key: bytes, cipher: bytes, mutation: list) -> list:
-    bad = _mutate(key, *mutation)
+    bad = mutate(key, *mutation)
     return [*mutation, *_verdict(container.read_key, bad), files.decrypt(bad, cipher)]
 
 
@@ -153,7 +153,7 @@ def test_accepted_mutations_read_back_to_their_bytes(locked):
     accepted = [e for e in locked["cipher_mutations"] if e[3] == "ok"]
     assert accepted
     for entry in accepted:
-        bad = _mutate(cipher, *entry[:3])
+        bad = mutate(cipher, *entry[:3])
         assert container.write_cipher(container.read_cipher(bad)) == bad
 
 
@@ -169,9 +169,9 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         files = _Files(Path(tmp))
         cipher_entries = [
-            _cipher_entry(files, key, cipher, _draw(rng, len(cipher))) for _ in range(CIPHER_MUTATIONS)
+            _cipher_entry(files, key, cipher, draw_mutation(rng, len(cipher))) for _ in range(CIPHER_MUTATIONS)
         ]
-        key_entries = [_key_entry(files, key, cipher, _draw(rng, len(key))) for _ in range(KEY_MUTATIONS)]
+        key_entries = [_key_entry(files, key, cipher, draw_mutation(rng, len(key))) for _ in range(KEY_MUTATIONS)]
     with open(FIXTURE, "w") as fh:
         fh.write(
             f'{{\n  "golden_case": {GOLDEN_CASE},\n  "seed": {SEED},\n'
