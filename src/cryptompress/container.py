@@ -25,6 +25,7 @@ from .cipher import (
     check_counts,
     data_cells,
 )
+from .codec import SYMBOLS_PER_BLOCK
 from .errors import (
     BadMagic,
     BadVersion,
@@ -186,13 +187,17 @@ def read_header(data: bytes) -> tuple[int, int, int]:
 
 # Each cell's wire size by tag; an SM cell adds two bytes per pair.
 _WIRE_SIZES = tuple(kind.wire.size for kind in KINDS)
+# The longest cell the memo keeps: a block of 15 symbols records at most 15
+# events per prime, so encrypt writes no longer SM list than 15 pairs.
+_MEMO_CELL_BYTES = _WIRE_SIZES[SM] + 2 * SYMBOLS_PER_BLOCK
 
 
 @lru_cache(maxsize=1 << 14)
 def _cell(raw: bytes) -> Cell:
     """The cell whose exact wire bytes are `raw`. Cells repeat heavily
     within a file (every block carries the same 8 ASM cells), so each
-    distinct one is validated once; the bound keeps memory flat."""
+    distinct one is validated once. The memo holds at most 2^14 cells of
+    at most _MEMO_CELL_BYTES bytes each; longer SM lists bypass it."""
     return _decode_cell(raw, 0)[0]
 
 
@@ -203,42 +208,23 @@ def _check_tags(tags: bytes) -> None:
     check_counts([tags.count(tag) for tag in range(N_KINDS)], InventoryMismatch)
 
 
+def _cell_error(data: bytes, pos: int) -> ContainerError:
+    """The error _decode_cell raises for the malformed cell at data[pos]:
+    it alone decides what a bad cell raises, and at which offset."""
+    try:
+        _decode_cell(data, pos)
+    except ContainerError as exc:
+        return exc
+    raise AssertionError(f"the cell at offset {pos} decodes")
+
+
 def read_cipher(data: bytes) -> CipherMessage:
     """Parse a whole CMC1 file. Each cell's extent comes from its tag and
-    its bytes map to the cell through a memo; on anything a valid file
-    does not hold, _diagnose_cipher reruns the cell-by-cell parse, so a
-    bad file raises exactly the error that parse gives."""
+    its bytes map to the cell through a memo; a cell that fails there is
+    decoded again in place, which raises its error with its file offset."""
     rounds, block_count, tail_bits = read_header(data)
     data = bytes(data)  # memo keys must hash, whatever bytes-like came in
     sizes, cell = _WIRE_SIZES, _cell
-    pos = HEADER_BYTES
-    grids = []
-    try:
-        for _ in range(block_count):
-            a, b = data[pos], data[pos + 1]
-            pos += 2
-            cells = []
-            for _ in range(N_CELLS):
-                tag = data[pos]
-                end = pos + sizes[tag]
-                if tag == SM:
-                    end += 2 * data[pos + 1]
-                cells.append(cell(data[pos:end]))
-                pos = end
-            _check_tags(bytes(map(itemgetter(0), cells)))
-            grids.append(CipherGrid((a >> 4, a & 15, b >> 4, b & 15), tuple(cells), rounds))
-    except (IndexError, ContainerError):
-        return _diagnose_cipher(data)
-    if pos != len(data):
-        return _diagnose_cipher(data)
-    return CipherMessage(grids=tuple(grids), tail_bits=tail_bits)
-
-
-def _diagnose_cipher(data: bytes) -> CipherMessage:
-    """Parse a CMC1 file one cell at a time from its first byte. The only
-    code that decides which error a malformed file raises, and where;
-    read_cipher runs it when its memoised walk meets such a file."""
-    rounds, block_count, tail_bits = read_header(data)
     pos = HEADER_BYTES
     grids = []
     for _ in range(block_count):
@@ -246,13 +232,22 @@ def _diagnose_cipher(data: bytes) -> CipherMessage:
             raise _truncated(data, pos, 2)
         a, b = data[pos], data[pos + 1]
         pos += 2
-        counts = [0] * N_KINDS
         cells = []
-        for _ in range(N_CELLS):
-            cell, pos = _decode_cell(data, pos)
-            counts[cell[0]] += 1
-            cells.append(cell)
-        check_counts(counts, InventoryMismatch)
+        try:
+            for _ in range(N_CELLS):
+                tag = data[pos]
+                end = pos + sizes[tag]
+                if tag == SM:
+                    end += 2 * data[pos + 1]
+                    if end - pos > _MEMO_CELL_BYTES:
+                        cells.append(_decode_cell(data, pos)[0])
+                        pos = end
+                        continue
+                cells.append(cell(data[pos:end]))
+                pos = end
+        except (IndexError, ContainerError):
+            raise _cell_error(data, pos) from None
+        _check_tags(bytes(map(itemgetter(0), cells)))
         grids.append(CipherGrid((a >> 4, a & 15, b >> 4, b & 15), tuple(cells), rounds))
     if pos != len(data):
         raise MalformedCell(f"{len(data) - pos} trailing bytes after last block")

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import cryptompress as cm
 from cryptompress import container
-from cryptompress.cipher import EMPTY, RM, SM
+from cryptompress.cipher import EMPTY, N_CELLS, N_KINDS, RM, SM, CipherGrid, check_counts
 from cryptompress.errors import (
     BadMagic,
     BadVersion,
@@ -265,6 +265,30 @@ def test_random_garbage_never_crashes():
         container.read_cipher(huge)
 
 
+def diagnose_cipher(data):
+    """Reference parser: the cell-by-cell loop read_cipher replaced, which
+    decodes every cell from scratch with no memo."""
+    rounds, block_count, tail_bits = container.read_header(data)
+    pos = container.HEADER_BYTES
+    grids = []
+    for _ in range(block_count):
+        if pos + 2 > len(data):
+            raise container._truncated(data, pos, 2)
+        a, b = data[pos], data[pos + 1]
+        pos += 2
+        counts = [0] * N_KINDS
+        cells = []
+        for _ in range(N_CELLS):
+            cell, pos = container._decode_cell(data, pos)
+            counts[cell[0]] += 1
+            cells.append(cell)
+        check_counts(counts, InventoryMismatch)
+        grids.append(CipherGrid((a >> 4, a & 15, b >> 4, b & 15), tuple(cells), rounds))
+    if pos != len(data):
+        raise MalformedCell(f"{len(data) - pos} trailing bytes after last block")
+    return container.CipherMessage(grids=tuple(grids), tail_bits=tail_bits)
+
+
 def _outcome(parse, data):
     try:
         return parse(data)
@@ -301,18 +325,36 @@ def valid_files():
     return [container.write_cipher(msg) for msg in messages]
 
 
-def test_fast_walk_parses_valid_files_as_the_diagnoser_does(valid_files, monkeypatch):
+def test_fast_walk_parses_valid_files_as_the_diagnoser_does(valid_files):
     distinct = {c for g in container.read_cipher(valid_files[-1]).grids for c in g.cells}
     assert len(distinct) > container._cell.cache_info().maxsize
     assert max(len(c[1]) for c in container.read_cipher(valid_files[-2]).grids[0].cells if c[0] == SM) > 15
-    expected = [container._diagnose_cipher(data) for data in valid_files]
+    for data in valid_files:
+        assert container.read_cipher(data) == diagnose_cipher(data)
 
-    def no_diagnosis(data):
-        raise AssertionError("a valid file fell back to the diagnoser")
 
-    monkeypatch.setattr(container, "_diagnose_cipher", no_diagnosis)
-    for data, want in zip(valid_files, expected):
-        assert container.read_cipher(data) == want
+def test_cell_memo_keeps_no_long_sequence_lists(valid_files):
+    """Only cells as short as encrypt writes stay in the memo: reading a
+    file of long SM lists leaves one memo entry per distinct short cell
+    and no more than a few KiB allocated once the result is dropped."""
+    import gc
+    import tracemalloc
+
+    data = valid_files[-2]
+    container._cell.cache_clear()
+    tracemalloc.start()
+    try:
+        msg = container.read_cipher(data)
+        distinct = {c for g in msg.grids for c in g.cells}
+        short = {c for c in distinct if len(container._encode_cell(c)) <= 32}
+        assert len(distinct) - len(short) == 8 * 4  # every SM list is long
+        assert container._cell.cache_info().currsize == len(short)
+        del msg, distinct, short
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 16 * 1024, retained
 
 
 def test_fast_walk_fails_as_the_diagnoser_does(valid_files):
@@ -322,4 +364,4 @@ def test_fast_walk_fails_as_the_diagnoser_does(valid_files):
     for _ in range(1500):
         data = rng.choice(valid_files[:40])
         data = mutate(data, *draw_mutation(rng, len(data)))
-        assert _outcome(container.read_cipher, data) == _outcome(container._diagnose_cipher, data)
+        assert _outcome(container.read_cipher, data) == _outcome(diagnose_cipher, data)
