@@ -208,16 +208,6 @@ def _check_tags(tags: bytes) -> None:
     check_counts([tags.count(tag) for tag in range(N_KINDS)], InventoryMismatch)
 
 
-def _cell_error(data: bytes, pos: int) -> ContainerError:
-    """The error _decode_cell raises for the malformed cell at data[pos]:
-    it alone decides what a bad cell raises, and at which offset."""
-    try:
-        _decode_cell(data, pos)
-    except ContainerError as exc:
-        return exc
-    raise AssertionError(f"the cell at offset {pos} decodes")
-
-
 def read_cipher(data: bytes) -> CipherMessage:
     """Parse a whole CMC1 file. Each cell's extent comes from its tag and
     its bytes map to the cell through a memo; a cell that fails there is
@@ -246,7 +236,10 @@ def read_cipher(data: bytes) -> CipherMessage:
                 cells.append(cell(data[pos:end]))
                 pos = end
         except (IndexError, ContainerError):
-            raise _cell_error(data, pos) from None
+            # decode the bad cell again in the whole file: _decode_cell
+            # alone decides what a bad cell raises, and at which offset
+            _decode_cell(data, pos)
+            raise
         _check_tags(bytes(map(itemgetter(0), cells)))
         grids.append(CipherGrid((a >> 4, a & 15, b >> 4, b & 15), tuple(cells), rounds))
     if pos != len(data):
