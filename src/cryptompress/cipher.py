@@ -64,7 +64,6 @@ class CellKind(NamedTuple):
     cells that carry `tag`."""
 
     name: str  # the cell's "kind" in `inspect --json`
-    count: Callable[[int], int]  # cells of this kind in a grid of m outcomes
     # The cell as a wire record, tag byte first. The SM record is
     # (tag, count), followed by that many (S, R) byte pairs.
     wire: struct.Struct
@@ -74,19 +73,19 @@ class CellKind(NamedTuple):
 
 
 KINDS = (
-    CellKind("empty", lambda m: 8 - 2 * m, struct.Struct("B"), (), lambda c: "-", lambda c: {}),
+    CellKind("empty", struct.Struct("B"), (), lambda c: "-", lambda c: {}),
     CellKind(
-        "asm", lambda m: 8, struct.Struct("BBB"), (3, 15), _asm_text,
+        "asm", struct.Struct("BBB"), (3, 15), _asm_text,
         lambda c: {"x_pos": c[1], "sign_mask": c[2], "text": _asm_text(c)},
     ),
-    CellKind("rm", lambda m: m, struct.Struct(">Bi"), (), lambda c: str(c[1]), lambda c: {"value": c[1]}),
+    CellKind("rm", struct.Struct(">Bi"), (), lambda c: str(c[1]), lambda c: {"value": c[1]}),
     CellKind(
-        "sm", lambda m: 4, struct.Struct("BB"), (15,),  # the limit holds for every pair byte
+        "sm", struct.Struct("BB"), (15,),  # the limit holds for every pair byte
         lambda c: " ; ".join(f"{s}|{r}" for s, r in c[1]) if c[1] else "(none)",
         lambda c: {"pairs": [list(p) for p in c[1]]},
     ),
     CellKind(
-        "tm", lambda m: m, struct.Struct("BBB"), (3,), lambda c: f"{PRIMES[c[1]]}|{c[2]}",
+        "tm", struct.Struct("BBB"), (3,), lambda c: f"{PRIMES[c[1]]}|{c[2]}",
         lambda c: {"prime": PRIMES[c[1]], "last_seq": c[2]},
     ),
 )
@@ -106,8 +105,24 @@ class CipherGrid(NamedTuple):
         return [list(self.cells[r : r + N_KINDS]) for r in range(0, N_CELLS, N_KINDS)]
 
 
+# The slot checks of an unscrambled grid. The matrix strings carry a
+# placement witness that needs no key: a string's X mark sits on the
+# diagonal, so its x_pos is its slot. The 12 data slots hold m outcomes,
+# four sequence lists and m term pairs, m = 1..4, in one of these tag
+# patterns; these and the 8 matrix strings are the 20 logical items.
+_ASM_HEADS = [(ASM, i % N_SLOTS) for i in range(2 * N_SLOTS)]
+_DATA_TAGS = frozenset(
+    tuple(RM if i in r else EMPTY for i in range(N_SLOTS)) + (SM,) * N_SLOTS
+    + tuple(TM if i in t else EMPTY for i in range(N_SLOTS))
+    for m in range(1, N_SLOTS + 1)
+    for r in combinations(range(N_SLOTS), m)
+    for t in combinations(range(N_SLOTS), m)
+)
 # counts[tag] of a valid grid, keyed by its number of outcomes m
-_INVENTORY = {m: [kind.count(m) for kind in KINDS] for m in range(1, N_SLOTS + 1)}
+_INVENTORY = {
+    tags.count(RM): [tags.count(tag) for tag in range(N_KINDS)]
+    for tags in ((ASM,) * 2 * N_SLOTS + data for data in _DATA_TAGS)
+}
 
 
 def check_counts(counts: list[int], exc: type[Exception]) -> None:
@@ -242,33 +257,20 @@ def encrypt_block(block: int, chain: KeyChain) -> CipherGrid:
     return CipherGrid(orders, tuple(out), len(chain.sticky))
 
 
-# The slot checks of an unscrambled grid. The matrix strings carry a
-# placement witness that needs no key: a string's X mark sits on the
-# diagonal, so its x_pos is its slot. The 12 data slots hold m outcomes,
-# four sequence lists and m term pairs, m = 1..4, in one of these tag
-# patterns; with right-kind slots, exactly these grids pass the inventory.
-_ASM_HEADS = [(ASM, i % N_SLOTS) for i in range(2 * N_SLOTS)]
-_DATA_TAGS = frozenset(
-    tuple(RM if i in r else EMPTY for i in range(N_SLOTS)) + (SM,) * N_SLOTS
-    + tuple(TM if i in t else EMPTY for i in range(N_SLOTS))
-    for m in range(1, N_SLOTS + 1)
-    for r in combinations(range(N_SLOTS), m)
-    for t in combinations(range(N_SLOTS), m)
-)
 _CODES = frozenset(range(len(PRIMES)))
 _tag = itemgetter(0)
 
 
-def decrypt_block(grid: CipherGrid, chain: KeyChain) -> int:
-    """Invert encrypt_block in one pass: gather the logical cells, check
-    every slot's kind, unmask the sequence pairs and rebuild the block.
+def _open_grid(grid: CipherGrid, chain: KeyChain) -> tuple[CompiledKey, list[Cell]]:
+    """The slot gate of decrypt and harden: the compiled key and the
+    grid's 20 logical cells, kind-major, once the round count, the cell
+    count and every slot's kind hold. The clear orders and the matrix
+    strings' sign masks are not compared with the key.
 
     Raises, first match wins: RoundCountMismatch when the chain's sticky
     depth disagrees with the grid; IncompleteGrid when the cells are not
     the 20 logical items; IntegrityFailure when a slot holds the wrong
-    kind (wrong key or tampered ciphertext); ValueOutOfRange when an
-    in-memory sequence pair does not fit a nibble; IntegrityFailure when
-    the rebuild or the RM checksum fails.
+    kind (wrong key or tampered ciphertext).
     """
     check_rounds(grid.sticky_rounds, chain)
     key = compile_key(chain)
@@ -280,6 +282,18 @@ def decrypt_block(grid: CipherGrid, chain: KeyChain) -> int:
     if heads != _ASM_HEADS or tuple(map(_tag, c[2 * N_SLOTS :])) not in _DATA_TAGS:
         _check_inventory(cells, IncompleteGrid)  # an inventory fault outranks a slot fault
         raise IntegrityFailure("a slot holds the wrong kind, or a matrix string marks the wrong position")
+    return key, c
+
+
+def decrypt_block(grid: CipherGrid, chain: KeyChain) -> int:
+    """Invert encrypt_block in one pass: open the grid through the slot
+    gate, unmask the sequence pairs and rebuild the block.
+
+    Raises, first match wins: whatever _open_grid raises; ValueOutOfRange
+    when an in-memory sequence pair does not fit a nibble; IntegrityFailure
+    when the rebuild or the RM checksum fails.
+    """
+    key, c = _open_grid(grid, chain)
     rm = [r[1] if r[0] == RM else None for r in c[2 * N_SLOTS : SM_BASE]]
     tm = [t[1:] if t[0] == TM else None for t in c[4 * N_SLOTS :]]
     if not _CODES.issuperset([t[0] for t in tm if t]):
@@ -300,24 +314,17 @@ def harden_message(
     """Respond to a failed attempt: grow the chain by one 32-bit sticky
     key and rewrite the sequence portion of every block's ciphertext.
 
-    Cell placement is untouched: the round, a swapping seal under
+    Each grid opens through decrypt's slot gate first and raises what it
+    raises. Cell placement is untouched: the round, a swapping seal under
     nswap(word), rewrites the four sequence-list cells where they sit.
     """
-    for grid in grids:
-        check_rounds(grid.sticky_rounds, chain)
     new_chain = extend_key(chain, rng)
     word = _nswap(new_chain.sticky[-1])
-    sm_slots = compile_key(chain).slots[SM_BASE : SM_BASE + N_SLOTS]
     out = []
     for grid in grids:
-        _check_inventory(grid.cells, IncompleteGrid)
+        key, c = _open_grid(grid, chain)
         cells = list(grid.cells)
-        for i, j in enumerate(sm_slots):
-            c = cells[j]
-            if c[0] != SM:
-                raise IntegrityFailure(f"sequence slot for prime {PRIMES[i]} holds {KINDS[c[0]].name}")
-            cells[j] = (SM, seal_pairs(c[1], word, True, i))
-        out.append(
-            CipherGrid(orders=grid.orders, cells=tuple(cells), sticky_rounds=grid.sticky_rounds + 1)
-        )
+        for i, j in enumerate(key.slots[SM_BASE : 4 * N_SLOTS]):
+            cells[j] = (SM, seal_pairs(c[SM_BASE + i][1], word, True, i))
+        out.append(grid._replace(cells=tuple(cells), sticky_rounds=grid.sticky_rounds + 1))
     return tuple(out), new_chain

@@ -343,7 +343,10 @@ def _cmd_analyze_avalanche(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argparse tree, built once per process: building it costs more
+    than parsing a command line with it."""
     parser = _Parser(prog="cryptompress", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

@@ -10,7 +10,6 @@ and 20 tagged cells row-major. All multi-byte integers are big-endian.
 """
 
 import struct
-from functools import lru_cache
 from itertools import chain
 from operator import itemgetter, le
 from typing import NamedTuple
@@ -25,7 +24,6 @@ from .cipher import (
     check_counts,
     data_cells,
 )
-from .codec import SYMBOLS_PER_BLOCK
 from .errors import (
     BadMagic,
     BadVersion,
@@ -187,34 +185,20 @@ def read_header(data: bytes) -> tuple[int, int, int]:
 
 # Each cell's wire size by tag; an SM cell adds two bytes per pair.
 _WIRE_SIZES = tuple(kind.wire.size for kind in KINDS)
-# The longest cell the memo keeps: a block of 15 symbols records at most 15
-# events per prime, so encrypt writes no longer SM list than 15 pairs.
-_MEMO_CELL_BYTES = _WIRE_SIZES[SM] + 2 * SYMBOLS_PER_BLOCK
-
-
-@lru_cache(maxsize=1 << 14)
-def _cell(raw: bytes) -> Cell:
-    """The cell whose exact wire bytes are `raw`. Cells repeat heavily
-    within a file (every block carries the same 8 ASM cells), so each
-    distinct one is validated once. The memo holds at most 2^14 cells of
-    at most _MEMO_CELL_BYTES bytes each; longer SM lists bypass it."""
-    return _decode_cell(raw, 0)[0]
-
-
-@lru_cache(maxsize=256)
-def _check_tags(tags: bytes) -> None:
-    """Raise InventoryMismatch unless one block's 20 cell tags, in wire
-    order, make up the 20 logical items."""
-    check_counts([tags.count(tag) for tag in range(N_KINDS)], InventoryMismatch)
 
 
 def read_cipher(data: bytes) -> CipherMessage:
-    """Parse a whole CMC1 file. Each cell's extent comes from its tag and
-    its bytes map to the cell through a memo; a cell that fails there is
-    decoded again in place, which raises its error with its file offset."""
+    """Parse a whole CMC1 file. Each cell's extent comes from its tag, and
+    its exact bytes map to its tuple through a memo that lives for this
+    call: cells repeat heavily within a file (every block carries the same
+    8 matrix strings), so each distinct cell is decoded once, and so is
+    each distinct tag string checked. A cell that fails is decoded again
+    in place, which raises its error with its file offset."""
     rounds, block_count, tail_bits = read_header(data)
     data = bytes(data)  # memo keys must hash, whatever bytes-like came in
-    sizes, cell = _WIRE_SIZES, _cell
+    sizes = _WIRE_SIZES
+    memo: dict[bytes, Cell] = {}
+    valid_tags: set[bytes] = set()
     pos = HEADER_BYTES
     grids = []
     for _ in range(block_count):
@@ -229,18 +213,21 @@ def read_cipher(data: bytes) -> CipherMessage:
                 end = pos + sizes[tag]
                 if tag == SM:
                     end += 2 * data[pos + 1]
-                    if end - pos > _MEMO_CELL_BYTES:
-                        cells.append(_decode_cell(data, pos)[0])
-                        pos = end
-                        continue
-                cells.append(cell(data[pos:end]))
+                raw = data[pos:end]
+                cell = memo.get(raw)
+                if cell is None:
+                    cell = memo[raw] = _decode_cell(raw, 0)[0]
+                cells.append(cell)
                 pos = end
         except (IndexError, ContainerError):
             # decode the bad cell again in the whole file: _decode_cell
             # alone decides what a bad cell raises, and at which offset
             _decode_cell(data, pos)
             raise
-        _check_tags(bytes(map(itemgetter(0), cells)))
+        tags = bytes(map(itemgetter(0), cells))
+        if tags not in valid_tags:
+            check_counts([tags.count(tag) for tag in range(N_KINDS)], InventoryMismatch)
+            valid_tags.add(tags)
         grids.append(CipherGrid((a >> 4, a & 15, b >> 4, b & 15), tuple(cells), rounds))
     if pos != len(data):
         raise MalformedCell(f"{len(data) - pos} trailing bytes after last block")

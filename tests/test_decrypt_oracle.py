@@ -27,6 +27,7 @@ from cryptompress.cipher import (
     SM_BASE,
     TM,
     CipherGrid,
+    _open_grid,
     check_rounds,
     compile_key,
 )
@@ -310,6 +311,39 @@ def test_one_pass_decrypt_matches_reference_on_20000_grids():
     assert verdicts[("inventory_edit", "IncompleteGrid")] > 0
     assert verdicts[("bad_prime_code", "IntegrityFailure")] == 2250
     assert verdicts[("round_count", "RoundCountMismatch")] == 2250
+
+
+def test_harden_refuses_what_the_decrypt_gate_refuses():
+    """harden_message opens every grid through decrypt's slot gate: it
+    raises the gate's exception on every grid the gate refuses, and a grid
+    it hardens decrypts under the grown chain to the verdict the original
+    had under the old chain."""
+    rng = random.Random(20261019)
+    verdicts = {}
+    for n in range(4500):
+        if n % len(MUTATIONS) == 0:
+            chain = KeyChain(generate_key(rng))
+            for _ in range(n // len(MUTATIONS) % 4):
+                chain = extend_key(chain, rng)
+            grid = cm.encrypt_block(rng.getrandbits(30), chain)
+        mutate = MUTATIONS[n % len(MUTATIONS)]
+        g, c = mutate(grid, chain, rng)
+        gate = _verdict(_open_grid, g, c)
+        try:
+            (hardened,), grown = cm.harden_message((g,), c, rng)
+        except CryptompressError as exc:
+            assert type(exc).__name__ == gate, (n, mutate.__name__, exc)
+            got = "refused"
+        else:
+            assert not isinstance(gate, str), (n, mutate.__name__, gate)
+            assert _verdict(cm.decrypt_block, hardened, grown) == _verdict(cm.decrypt_block, g, c), n
+            got = "hardened"
+        verdicts[mutate.__name__, got] = verdicts.get((mutate.__name__, got), 0) + 1
+    # harden refuses cell swaps that decrypt refuses, and hardens the rest
+    for name in ("cell_swap", "inventory_edit", "round_count"):
+        assert verdicts.get((name, "refused"), 0) > 0, name
+    for name in ("honest", "wrong_low_bits", "sm_edit", "bad_prime_code"):
+        assert verdicts.get((name, "hardened"), 0) > 0, name
 
 
 def test_rebuild_matches_reference_on_perturbed_blocks():

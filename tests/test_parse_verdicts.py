@@ -14,12 +14,10 @@ Regenerate (only for a change that means to alter a parser verdict):
 """
 
 import contextlib
-import functools
 import io
 import json
 import random
 from pathlib import Path
-from unittest import mock
 
 import pytest
 
@@ -34,7 +32,6 @@ SEED = 20261018
 CIPHER_MUTATIONS = 1800
 KEY_MUTATIONS = 200
 KINDS = ("flip", "set", "cut", "insert")
-_PARSER = functools.cache(cli.build_parser)
 
 
 def mutate(data: bytes, kind: str, pos: int, value: int) -> bytes:
@@ -67,10 +64,8 @@ def _verdict(reader, data: bytes) -> list:
 
 
 def _run(argv: list) -> int:
-    """cli.main's exit code for argv, its output discarded. The parser is
-    built once: building it costs more than a 4-block decrypt."""
+    """cli.main's exit code for argv, its output discarded."""
     with (
-        mock.patch.object(cli, "build_parser", _PARSER),
         contextlib.redirect_stdout(io.StringIO()),
         contextlib.redirect_stderr(io.StringIO()),
     ):
