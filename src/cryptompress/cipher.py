@@ -59,6 +59,17 @@ def _asm_text(cell: Cell) -> str:
     )
 
 
+@lru_cache(maxsize=256)  # one entry per pair of nibbles
+def _pair_json(pair: tuple[int, int]) -> str:
+    return "    [\n      %d,\n      %d\n    ]" % pair
+
+
+def _sm_json(cell: Cell) -> str:
+    if not cell[1]:
+        return ',\n  "pairs": []'
+    return ',\n  "pairs": [\n' + ",\n".join(map(_pair_json, cell[1])) + "\n  ]"
+
+
 class CellKind(NamedTuple):
     """Everything that depends on a cell's kind: KINDS[tag] describes the
     cells that carry `tag`."""
@@ -69,24 +80,26 @@ class CellKind(NamedTuple):
     wire: struct.Struct
     limits: tuple[int, ...]  # largest value of each field after the tag
     text: Callable[[Cell], str]  # the cell in the `inspect` table
-    view: Callable[[Cell], dict]  # its `inspect --json` fields after "kind"
+    # Its `inspect --json` fields after "kind", as json.dumps(indent=2)
+    # writes them in a top-level object: each member led by ",\n  ".
+    json: Callable[[Cell], str]
 
 
 KINDS = (
-    CellKind("empty", struct.Struct("B"), (), lambda c: "-", lambda c: {}),
+    CellKind("empty", struct.Struct("B"), (), lambda c: "-", lambda c: ""),
     CellKind(
         "asm", struct.Struct("BBB"), (3, 15), _asm_text,
-        lambda c: {"x_pos": c[1], "sign_mask": c[2], "text": _asm_text(c)},
+        lambda c: ',\n  "x_pos": %d,\n  "sign_mask": %d,\n  "text": "%s"' % (c[1], c[2], _asm_text(c)),
     ),
-    CellKind("rm", struct.Struct(">Bi"), (), lambda c: str(c[1]), lambda c: {"value": c[1]}),
+    CellKind("rm", struct.Struct(">Bi"), (), lambda c: str(c[1]), lambda c: ',\n  "value": %d' % c[1]),
     CellKind(
         "sm", struct.Struct("BB"), (15,),  # the limit holds for every pair byte
         lambda c: " ; ".join(f"{s}|{r}" for s, r in c[1]) if c[1] else "(none)",
-        lambda c: {"pairs": [list(p) for p in c[1]]},
+        _sm_json,
     ),
     CellKind(
         "tm", struct.Struct("BBB"), (3,), lambda c: f"{PRIMES[c[1]]}|{c[2]}",
-        lambda c: {"prime": PRIMES[c[1]], "last_seq": c[2]},
+        lambda c: ',\n  "prime": %d,\n  "last_seq": %d' % (PRIMES[c[1]], c[2]),
     ),
 )
 

@@ -173,11 +173,6 @@ def _cmd_harden(args) -> int:
     return 0
 
 
-def _cell_view(cell) -> dict:
-    kind = KINDS[cell[0]]
-    return {"kind": kind.name, **kind.view(cell)}
-
-
 # `inspect --json` is the text of json.dumps(document, indent=2), written one
 # block at a time. A cell sits five levels deep: "blocks", its block, "rows",
 # its row and itself.
@@ -193,7 +188,8 @@ _ROW_BREAK = "\n        ],\n        [\n"
 def _cell_json(cell) -> str:
     """A cell's JSON object, indented to its depth in `inspect --json`;
     bounded, so memory does not grow with the file."""
-    text = json.dumps(_cell_view(cell), indent=2)
+    kind = KINDS[cell[0]]
+    text = '{\n  "kind": "' + kind.name + '"' + kind.json(cell) + "\n}"
     return _CELL_INDENT + text.replace("\n", "\n" + _CELL_INDENT)
 
 

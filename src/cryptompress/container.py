@@ -147,12 +147,20 @@ def write_cipher(msg: CipherMessage) -> bytes:
     out.append(rounds)
     out += struct.pack(">I", len(msg.grids))
     out.append(msg.tail_bits)
+    # Each distinct cell is encoded once, through a memo that lives for
+    # this call, and its bytes are decoded once as read_cipher would: the
+    # writer refuses every cell the reader refuses, with the reader's error.
+    memo: dict[Cell, bytes] = {}
     for grid in msg.grids:
         o = grid.orders
         out.append((o[0] << 4) | o[1])
         out.append((o[2] << 4) | o[3])
         for cell in grid.cells:
-            out += _encode_cell(cell)
+            raw = memo.get(cell)
+            if raw is None:
+                raw = memo[cell] = _encode_cell(cell)
+                _decode_cell(raw, 0)
+            out += raw
     return bytes(out)
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import cryptompress as cm
 from cryptompress import container
-from cryptompress.cipher import EMPTY, N_CELLS, N_KINDS, RM, SM, CipherGrid, check_counts
+from cryptompress.cipher import ASM, EMPTY, N_CELLS, N_KINDS, RM, SM, TM, CipherGrid, check_counts
 from cryptompress.errors import (
     BadMagic,
     BadVersion,
@@ -193,6 +193,28 @@ def test_write_cipher_rejects_mixed_rounds(golden_chain, golden_block):
     g1 = cm.encrypt_block(golden_block, chain1)
     with pytest.raises(RoundCountMismatch):
         container.write_cipher(container.CipherMessage(grids=(g0, g1), tail_bits=26))
+
+
+@pytest.mark.parametrize(
+    "bad", [(ASM, 7, 0), (ASM, 2, 200), (TM, 9, 3), (SM, ((16, 1),))], ids=["asm_x", "asm_mask", "tm", "sm_pair"]
+)
+def test_write_cipher_refuses_cells_the_reader_refuses(golden_chain, golden_block, bad):
+    """A cell that fits its wire record but not its field limits is refused
+    by write_cipher with the MalformedCell that read_cipher raises for the
+    same bytes."""
+    grid = cm.encrypt_block(golden_block, golden_chain)
+    cells = list(grid.cells)
+    cells[next(i for i, c in enumerate(cells) if c[0] == bad[0])] = bad
+    msg = container.CipherMessage(grids=(grid._replace(cells=tuple(cells)),), tail_bits=24)
+    with pytest.raises(MalformedCell) as written:
+        container.write_cipher(msg)
+    assert _outcome(container.read_cipher, _encode_without_checks(msg)) == (MalformedCell, str(written.value))
+
+
+def test_write_cipher_refuses_a_256_pair_sequence_list(golden_chain, golden_block):
+    grid = _redraw(cm.encrypt_block(golden_block, golden_chain), SM, lambda: ((1, 2),) * 256)
+    with pytest.raises(MalformedCell, match="sequence list longer than 255 pairs"):
+        container.write_cipher(container.CipherMessage(grids=(grid,), tail_bits=24))
 
 
 def test_sticky_rounds_survive_serialization(golden_chain, golden_block):

@@ -7,10 +7,11 @@ short payload whose blocks lack some primes, so that empty cells appear. A
 change to how cells are held in memory must keep every digest without
 editing the file.
 
-Beside the lock, a differential test compares the streamed `inspect --json`
-with the whole-document builder it replaced, byte for byte, and the
-streaming edges are checked: a malformed file prints nothing, and a reader
-that closes the pipe early is not an error.
+Beside the lock, a differential test compares the streamed `inspect --json`,
+whose cells come from per-kind templates, with json.dumps of the whole
+document, byte for byte, on files that include one whose cells reach every
+wire limit; and the streaming edges are checked: a malformed file prints
+nothing, and a reader that closes the pipe early is not an error.
 
 Regenerate (only for a change that means to alter the inspect output):
 
@@ -20,6 +21,7 @@ Regenerate (only for a change that means to alter the inspect output):
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -31,7 +33,9 @@ import pytest
 
 import cryptompress as cm
 from cryptompress import cli, container
+from cryptompress.cipher import ASM, EMPTY, KINDS, RM, SM, TM
 from cryptompress.cli import main
+from cryptompress.codec import PRIMES
 
 FIXTURES = Path(__file__).parent / "fixtures"
 FIXTURE = FIXTURES / "inspect_views.json"
@@ -94,6 +98,21 @@ def test_inspect_views_match_lock(locked, tmp_path, name):
     assert _digests(tmp_path, name) == locked[name]
 
 
+# The oracle's cell fields after "kind", by tag: `inspect --json` must print
+# what json.dumps writes for these.
+_VIEWS = (
+    lambda c: {},
+    lambda c: {"x_pos": c[1], "sign_mask": c[2], "text": KINDS[ASM].text(c)},
+    lambda c: {"value": c[1]},
+    lambda c: {"pairs": [list(p) for p in c[1]]},
+    lambda c: {"prime": PRIMES[c[1]], "last_seq": c[2]},
+)
+
+
+def _cell_view(cell) -> dict:
+    return {"kind": KINDS[cell[0]].name, **_VIEWS[cell[0]](cell)}
+
+
 def _whole_document_json(data: bytes) -> bytes:
     """The oracle: `inspect --json` as one document built in memory, then
     dumped in one call."""
@@ -104,7 +123,7 @@ def _whole_document_json(data: bytes) -> bytes:
         "blocks": [
             {
                 "orders": list(g.orders),
-                "rows": [[cli._cell_view(c) for c in row] for row in g.rows()],
+                "rows": [[_cell_view(c) for c in row] for row in g.rows()],
             }
             for g in msg.grids
         ],
@@ -120,8 +139,29 @@ def _random_chain_file(depth: int, size: int) -> bytes:
     return container.write_cipher(container.CipherMessage(grids=grids, tail_bits=msg.tail_bits))
 
 
+def _wire_limits_file() -> bytes:
+    """Eight blocks whose cells reach every wire limit: each ASM x_pos with
+    each sign mask, the RM extremes, SM lists of 0, 1 and 255 pairs, each
+    TM code with last_seq 0 and 255, and empty cells. Every block holds 8
+    ASM cells, m RM and m TM cells (m = 1..4), 4 SM cells and 8 - 2m empty
+    ones, a valid inventory."""
+    asm = [(ASM, x, mask) for x in range(4) for mask in range(16)]
+    rm = itertools.cycle([(RM, v) for v in (-(2**31), -1, 0, 2**31 - 1)])
+    sm = [(SM, ()), (SM, ((15, 0),)), (SM, tuple(divmod(i, 16) for i in range(255))), (SM, ((0, 15), (9, 9)))]
+    tm = itertools.cycle([(TM, code, seq) for code in range(4) for seq in (0, 255)])
+    grids = []
+    for b in range(8):
+        m = b % 4 + 1
+        cells = asm[8 * b : 8 * b + 8] + sm + [(EMPTY,)] * (8 - 2 * m)
+        cells += [next(rm) for _ in range(m)] + [next(tm) for _ in range(m)]
+        random.Random(b).shuffle(cells)
+        grids.append(cm.CipherGrid((b, 15 - b, 0, 15), tuple(cells), 255))
+    return container.write_cipher(container.CipherMessage(grids=tuple(grids), tail_bits=6))
+
+
 # name -> cipher file bytes
 DIFFERENTIAL = {
+    "wire_limits": _wire_limits_file,
     "depth0": lambda: _random_chain_file(0, 301),
     "depth1": lambda: _random_chain_file(1, 302),
     "depth8": lambda: _random_chain_file(8, 303),
