@@ -120,10 +120,8 @@ def bruteforce_demo(
     included, dies on the round-count check. The report then shows a full
     unsuccessful sweep: the restart cost hardening imposes.
     """
-    if restricted_bits > MAX_RESTRICTED_BITS:
-        raise InvalidKeyspace(f"restricted_bits capped at {MAX_RESTRICTED_BITS}")
-    if restricted_bits < 1:
-        raise InvalidKeyspace("restricted_bits must be at least 1")
+    if not 1 <= restricted_bits <= MAX_RESTRICTED_BITS:
+        raise InvalidKeyspace(f"restricted_bits must be in [1, {MAX_RESTRICTED_BITS}], got {restricted_bits}")
     if harden_every < 0:
         raise InvalidKeyspace(f"harden_every must be at least 0, got {harden_every}")
     order, state = _sweep_order(restricted_bits, seed)

@@ -22,7 +22,7 @@ import struct
 from functools import lru_cache
 from itertools import combinations
 from operator import itemgetter
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .codec import PRIMES
 from .engine import AddSubMatrix, CompressedBlock, compress_block, decompress_block
@@ -167,16 +167,18 @@ def check_rounds(rounds: int, chain: KeyChain) -> None:
 class CompiledKey(NamedTuple):
     """What a key chain contributes to every block, derived once.
 
-    `deltas` is the Add-Sub Matrix as a table by prime index, and
-    `slots[i]` is the wire position of logical cell i (kind*4 + slot); these
-    and `asm` are shared by every chain with the same base key outside its
-    XOR word. `mask` holds one byte per prime (2,3,5,7 from the MSB), S
-    nibble high: a stored pair is the plain pair, swapped when `swap`,
-    XORed with its prime's byte."""
+    `deltas` is the Add-Sub Matrix as a table by prime index, `asm_cells`
+    its 8 matrix-string cells, `slots[i]` the wire position of logical cell
+    i (kind*4 + slot) and `at` its inverse; these and `asm` are shared by
+    every chain with the same base key outside its XOR word. `mask` holds
+    one byte per prime (2,3,5,7 from the MSB), S nibble high: a stored pair
+    is the plain pair, swapped when `swap`, XORed with its prime's byte."""
 
     asm: AddSubMatrix
     deltas: tuple[tuple[int, ...], ...]
+    asm_cells: tuple[Cell, ...]
     slots: tuple[int, ...]
+    at: tuple[int, ...]
     mask: int
     swap: bool
 
@@ -186,13 +188,14 @@ def _nswap(word: int) -> int:
     return ((word >> 4) & 0x0F0F0F0F) | ((word & 0x0F0F0F0F) << 4)
 
 
-def _slot_table(nibbles: tuple[int, ...]) -> tuple[int, ...]:
+def _slot_tables(nibbles: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Compose the 20 fixed transpositions the placement nibbles define
-    into one map from logical cell (kind*4 + slot) to wire position. The
+    into (slots, at): slots[i] is the wire position of logical cell i
+    (kind*4 + slot) and at[w] the logical cell at wire position w. The
     grid starts with kind k's cells in column k; nibble k*4 + i then swaps
     row i of column k with the row it names mod 4 of the next column in
     the cycle."""
-    at = [w % N_KINDS * N_SLOTS + w // N_KINDS for w in range(N_CELLS)]  # at[w]: logical cell at w
+    at = [w % N_KINDS * N_SLOTS + w // N_KINDS for w in range(N_CELLS)]
     for j, n in enumerate(nibbles):
         k, i = divmod(j, N_SLOTS)
         a, b = i * N_KINDS + k, n % 4 * N_KINDS + (k + 1) % N_KINDS
@@ -200,18 +203,22 @@ def _slot_table(nibbles: tuple[int, ...]) -> tuple[int, ...]:
     slots = [0] * N_CELLS
     for w, i in enumerate(at):
         slots[i] = w
-    return tuple(slots)
+    return tuple(slots), tuple(at)
 
 
 @lru_cache(maxsize=1)
 def _structure(asm_key: int, rm_key: int, tm_key: int, sm_arrangement: int) -> tuple:
-    """The key's structure (asm, deltas, slots), memoised on the only key
-    words it reads. Every brute-force candidate, which differs from the
-    true key in the XOR word only, and every chain grown from one base key
-    share it, so one entry serves; compile_key's own cache covers chains
-    that alternate."""
+    """The key's structure (asm, deltas, asm_cells, slots, at), memoised on
+    the only key words it reads. Every brute-force candidate, which differs
+    from the true key in the XOR word only, and every chain grown from one
+    base key share it, so one entry serves; compile_key's own cache covers
+    chains that alternate. The 8 matrix-string cells are the order nibbles
+    as rows, then the transposed bit matrix as columns."""
     asm, nibbles = derive_material(BaseKey(asm_key, rm_key, tm_key, sm_arrangement << 32))
-    return asm, asm.deltas, _slot_table(nibbles)
+    orders = asm.orders
+    columns = [sum(((orders[t] >> (3 - c)) & 1) << (3 - t) for t in range(4)) for c in range(4)]
+    asm_cells = tuple((ASM, i % 4, m) for i, m in enumerate(orders + tuple(columns)))
+    return asm, asm.deltas, asm_cells, *_slot_tables(nibbles)
 
 
 @lru_cache(maxsize=64)
@@ -236,14 +243,6 @@ def seal_pairs(pairs, mask: int, swap: bool, prime_index: int) -> tuple[tuple[in
     return tuple([(s ^ ms, r ^ mr) for s, r in pairs])
 
 
-@lru_cache(maxsize=64)
-def _asm_cells(orders: tuple[int, int, int, int]) -> tuple[Cell, ...]:
-    """The 8 matrix-string cells: the order nibbles as rows, then the
-    transposed bit matrix as columns."""
-    columns = [sum(((orders[t] >> (3 - c)) & 1) << (3 - t) for t in range(4)) for c in range(4)]
-    return tuple((ASM, i % 4, m) for i, m in enumerate(orders + tuple(columns)))
-
-
 def data_cells(cb: CompressedBlock, mask: int = 0, swap: bool = False) -> tuple[Cell, ...]:
     """The 12 data cells (rm, sm, tm) a compressed block contributes, the
     sequence lists sealed under (mask, swap); the defaults leave them clear."""
@@ -258,16 +257,12 @@ def data_cells(cb: CompressedBlock, mask: int = 0, swap: bool = False) -> tuple[
 def encrypt_block(block: int, chain: KeyChain) -> CipherGrid:
     """Encrypt one 30-bit block under the full key chain: compress it,
     lay the 20 logical cells out kind-major (asmh, asmv, rm, sm, tm) with
-    the sequence lists sealed, and scatter them to their wire positions. The
+    the sequence lists sealed, and gather them in wire order. The
     compressor always yields the 20 logical items, so no inventory check
     runs here."""
     key = compile_key(chain)
-    orders = key.asm.orders
-    cells = _asm_cells(orders) + data_cells(compress_block(block, key.deltas), key.mask, key.swap)
-    out: list[Optional[Cell]] = [None] * N_CELLS
-    for cell, j in zip(cells, key.slots):
-        out[j] = cell
-    return CipherGrid(orders, tuple(out), len(chain.sticky))
+    cells = key.asm_cells + data_cells(compress_block(block, key.deltas), key.mask, key.swap)
+    return CipherGrid(key.asm.orders, tuple(map(cells.__getitem__, key.at)), len(chain.sticky))
 
 
 _CODES = frozenset(range(len(PRIMES)))

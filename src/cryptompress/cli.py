@@ -35,12 +35,7 @@ from .cipher import (
     harden_message,
 )
 from .engine import TraceStep, compress_block
-from .errors import (
-    ContainerError,
-    CryptompressError,
-    IntegrityFailure,
-    RoundCountMismatch,
-)
+from .errors import CryptompressError, IntegrityFailure, RoundCountMismatch
 from .keyschedule import KeyChain, derive_material, generate_key
 
 PRIMES = codec.PRIMES
@@ -115,7 +110,7 @@ def _parse_block_arg(text: str) -> int:
 
 
 def _emit(args, payload: dict | list, csv_rows: Optional[list[dict]] = None) -> None:
-    if getattr(args, "format", "json") == "csv":
+    if args.format == "csv":
         rows = csv_rows if csv_rows is not None else [payload]
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
@@ -124,7 +119,7 @@ def _emit(args, payload: dict | list, csv_rows: Optional[list[dict]] = None) -> 
         text = buf.getvalue()
     else:
         text = json.dumps(payload, indent=2) + "\n"
-    if getattr(args, "out", None):
+    if args.out:
         _write_file(args.out, text.encode())
     else:
         sys.stdout.write(text)
@@ -159,13 +154,14 @@ def _cmd_harden(args) -> int:
     chain = _load_chain(args.key)
     msg = _read_cipher_for(args.cipher, chain)
     grids, new_chain = harden_message(msg.grids, chain)
-    # Key first: once the new sticky word is durable the rewritten cipher
-    # is always recoverable; the reverse order could strand the cipher.
-    _replace_file(args.key, container.write_key(new_chain))
-    _replace_file(
-        args.cipher,
-        container.write_cipher(container.CipherMessage(grids=grids, tail_bits=msg.tail_bits)),
-    )
+    # Both files are encoded before either is replaced, so a write that
+    # fails leaves both untouched. Key first: once the new sticky word is
+    # durable the rewritten cipher is always recoverable; the reverse order
+    # could strand the cipher.
+    key_bytes = container.write_key(new_chain)
+    cipher_bytes = container.write_cipher(container.CipherMessage(grids=grids, tail_bits=msg.tail_bits))
+    _replace_file(args.key, key_bytes)
+    _replace_file(args.cipher, cipher_bytes)
     print(
         f"hardened: key now {new_chain.key_bits} bits, {len(new_chain.sticky)} sticky round(s)",
         file=sys.stderr,
@@ -313,16 +309,7 @@ def _cmd_analyze_compression(args) -> int:
     else:
         blocks = analysis.random_blocks(args.count, args.seed)
     report = analysis.compression_stats(blocks, asm)
-    rows = [
-        {
-            "symbols": e.symbols,
-            "sm_events": e.sm_events,
-            "compressed_bits": e.compressed_bits,
-            "ratio": e.ratio,
-        }
-        for e in report.entries
-    ]
-    _emit(args, report.to_dict(), rows)
+    _emit(args, report.to_dict(), [e._asdict() for e in report.entries])
     return 0
 
 
@@ -380,30 +367,25 @@ def build_parser() -> _Parser:
 
     pa = sub.add_parser("analyze", help="measurement harnesses")
     asub = pa.add_subparsers(dest="subtool", required=True, parser_class=_Parser)
+    common = _Parser(add_help=False)
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--format", choices=("json", "csv"), default="json")
+    common.add_argument("--out")
 
-    p = asub.add_parser("bruteforce", help="paired baseline/hardened key sweep")
+    p = asub.add_parser("bruteforce", parents=[common], help="paired baseline/hardened key sweep")
     p.add_argument("--restricted-bits", type=int, default=16)
     p.add_argument("--harden-every", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_analyze_bruteforce)
 
-    p = asub.add_parser("compression", help="sequence-event and size statistics")
+    p = asub.add_parser("compression", parents=[common], help="sequence-event and size statistics")
     p.add_argument("--count", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--biased", action="store_true", help="run-heavy inputs")
     p.add_argument("--stay", type=float, default=0.8)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_analyze_compression)
 
-    p = asub.add_parser("avalanche", help="one-bit diffusion distances")
+    p = asub.add_parser("avalanche", parents=[common], help="one-bit diffusion distances")
     p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--key", help="key file; generated from the seed when omitted")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_analyze_avalanche)
 
     return parser
@@ -424,7 +406,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # downstream consumer (head, less) closed the pipe; not an error
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (ContainerError, CryptompressError, OSError) as exc:
+    except (CryptompressError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -12,7 +12,6 @@ from cryptompress.cipher import (
     SM_BASE,
     TM,
     CipherGrid,
-    _asm_cells,
     compile_key,
     data_cells,
     seal_pairs,
@@ -196,7 +195,7 @@ def test_scramble_golden_placement(golden, golden_chain, golden_block):
     """The hand-replayed 20-swap placement for the worked-example key."""
     key = compile_key(golden_chain)
     cb = compress_block(golden_block, key.deltas)
-    cells = _asm_cells(key.asm.orders) + data_cells(cb, key.mask, key.swap)
+    cells = key.asm_cells + data_cells(cb, key.mask, key.swap)
     # label by object identity: equal-looking cells (H3/V3 here) must not
     # be confused, the schedule moves instances
     names = [f"{kind}{p}" for kind in "HVRST" for p in PRIMES]
@@ -282,8 +281,8 @@ def test_decrypt_rejects_term_cell_naming_no_prime(golden_chain, golden_block):
 
 def test_candidates_share_the_key_structure():
     """Chains that differ only in the XOR word or only in sticky words
-    share one AddSubMatrix, delta table and slot table; only the mask
-    differs."""
+    share one AddSubMatrix, delta table, matrix-string cells and slot
+    tables; only the mask differs."""
     rng = random.Random(21)
     base = generate_key(rng)
     chains = [
@@ -298,6 +297,9 @@ def test_candidates_share_the_key_structure():
         assert key.asm is keys[0].asm
         assert key.deltas is keys[0].deltas
         assert key.slots is keys[0].slots
+        assert key.asm_cells is keys[0].asm_cells
+        assert key.at is keys[0].at
+    assert all(keys[0].at[w] == i for i, w in enumerate(keys[0].slots))
     assert len({key.mask for key in keys}) == len(keys)
     assert [key.swap for key in keys] == [False, False, True, True, False]
     # an arrangement nibble of the SM key is structure, not mask

@@ -1,6 +1,8 @@
 import json
 import os
 import random
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,9 @@ import pytest
 from cryptompress import cli, container
 from cryptompress.cipher import SM
 from cryptompress.cli import main
+from cryptompress.errors import ValueOutOfRange
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture
@@ -278,6 +283,50 @@ def test_failed_replace_leaves_files_and_no_temp(tmp_path, golden_key_file, monk
     monkeypatch.setattr(os, "replace", refuse)
     assert main(["harden", "--key", str(key), "--cipher", str(cipher)]) == 3
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+
+
+def test_failed_cipher_encoding_leaves_key_and_cipher(tmp_path, golden_key_file, monkeypatch):
+    """harden encodes both files before it replaces either, so a cipher
+    that fails to encode leaves both files as they were."""
+    key = tmp_path / "k.cmk"
+    shutil.copy(golden_key_file, key)
+    plain = tmp_path / "p.bin"
+    plain.write_bytes(b"abc")
+    cipher = tmp_path / "c.cmc"
+    assert main(["encrypt", "--key", str(key), "--in", str(plain), "--out", str(cipher)]) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+
+    def refuse(msg):
+        raise ValueOutOfRange("cipher refused")
+
+    monkeypatch.setattr(container, "write_cipher", refuse)
+    assert main(["harden", "--key", str(key), "--cipher", str(cipher)]) == 3
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+
+
+@pytest.mark.parametrize("sub", ["bruteforce", "compression", "avalanche"])
+def test_analyze_help_lists_the_shared_flags(sub, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", sub, "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    for flag in ("--seed", "--format", "--out"):
+        assert flag in text
+
+
+def test_readme_analyze_synopsis_shows_the_parser_defaults():
+    """Every `[--flag NUMBER]` in the README's `cryptompress analyze`
+    synopsis lines is the default the parser gives that flag."""
+    seen = {}
+    for line in README.read_text(encoding="utf-8").splitlines():
+        m = re.match(r"cryptompress analyze (\w+)\s+\[", line)
+        if not m:
+            continue
+        defaults = vars(cli.build_parser().parse_args(["analyze", m[1]]))
+        for flag, value in re.findall(r"\[--([\w-]+) ([\d.]+)\]", line):
+            seen[m[1], flag] = (float(value), defaults[flag.replace("-", "_")])
+    assert {sub for sub, _ in seen} == {"bruteforce", "compression", "avalanche"}
+    assert all(shown == default for shown, default in seen.values()), seen
 
 
 def test_cli_import_loads_no_dataclasses():

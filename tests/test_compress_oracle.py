@@ -25,7 +25,6 @@ from cryptompress.cipher import (
     SM,
     TM,
     CipherGrid,
-    _asm_cells,
     _check_inventory,
     compile_key,
     decrypt_block,
@@ -166,7 +165,7 @@ def unscramble(cells, slots):
 def reference_encrypt(block: int, chain: KeyChain) -> CipherGrid:
     key = compile_key(chain)
     cb = reference_compress(codec.block_to_symbols(block), key.asm)
-    cells = _asm_cells(key.asm.orders) + reference_data_cells(cb, key)
+    cells = key.asm_cells + reference_data_cells(cb, key)
     return CipherGrid(chain.base.orders, scramble(cells, key.slots), len(chain.sticky))
 
 
