@@ -18,11 +18,10 @@ a seal under nswap(word) with a swap.
 """
 
 import random
-import struct
 from functools import lru_cache
 from itertools import combinations
 from operator import itemgetter
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .codec import PRIMES
 from .engine import AddSubMatrix, CompressedBlock, compress_block, decompress_block
@@ -49,59 +48,8 @@ SM_BASE = 3 * N_SLOTS  # logical index of prime 2's sequence-list cell
 #   (SM, pairs)                  one target's (S, R) sequence pairs
 #   (TM, prime_code, last_seq)   a term pair; prime_code indexes (2,3,5,7)
 EMPTY, ASM, RM, SM, TM = range(N_KINDS)
+KIND_NAMES = ("empty", "asm", "rm", "sm", "tm")  # by tag, in messages and `inspect --json`
 Cell = tuple
-
-
-def _asm_text(cell: Cell) -> str:
-    _, x_pos, mask = cell
-    return "".join(
-        "X" if i == x_pos else "+1" if (mask >> (3 - i)) & 1 else "-1" for i in range(4)
-    )
-
-
-@lru_cache(maxsize=256)  # one entry per pair of nibbles
-def _pair_json(pair: tuple[int, int]) -> str:
-    return "    [\n      %d,\n      %d\n    ]" % pair
-
-
-def _sm_json(cell: Cell) -> str:
-    if not cell[1]:
-        return ',\n  "pairs": []'
-    return ',\n  "pairs": [\n' + ",\n".join(map(_pair_json, cell[1])) + "\n  ]"
-
-
-class CellKind(NamedTuple):
-    """Everything that depends on a cell's kind: KINDS[tag] describes the
-    cells that carry `tag`."""
-
-    name: str  # the cell's "kind" in `inspect --json`
-    # The cell as a wire record, tag byte first. The SM record is
-    # (tag, count), followed by that many (S, R) byte pairs.
-    wire: struct.Struct
-    limits: tuple[int, ...]  # largest value of each field after the tag
-    text: Callable[[Cell], str]  # the cell in the `inspect` table
-    # Its `inspect --json` fields after "kind", as json.dumps(indent=2)
-    # writes them in a top-level object: each member led by ",\n  ".
-    json: Callable[[Cell], str]
-
-
-KINDS = (
-    CellKind("empty", struct.Struct("B"), (), lambda c: "-", lambda c: ""),
-    CellKind(
-        "asm", struct.Struct("BBB"), (3, 15), _asm_text,
-        lambda c: ',\n  "x_pos": %d,\n  "sign_mask": %d,\n  "text": "%s"' % (c[1], c[2], _asm_text(c)),
-    ),
-    CellKind("rm", struct.Struct(">Bi"), (), lambda c: str(c[1]), lambda c: ',\n  "value": %d' % c[1]),
-    CellKind(
-        "sm", struct.Struct("BB"), (15,),  # the limit holds for every pair byte
-        lambda c: " ; ".join(f"{s}|{r}" for s, r in c[1]) if c[1] else "(none)",
-        _sm_json,
-    ),
-    CellKind(
-        "tm", struct.Struct("BBB"), (3,), lambda c: f"{PRIMES[c[1]]}|{c[2]}",
-        lambda c: ',\n  "prime": %d,\n  "last_seq": %d' % (PRIMES[c[1]], c[2]),
-    ),
-)
 
 
 class CipherGrid(NamedTuple):
@@ -144,7 +92,7 @@ def check_counts(counts: list[int], exc: type[Exception]) -> None:
     if counts != _INVENTORY.get(counts[RM]):
         raise exc(
             "cell inventory is not a permutation of the 20 logical items: "
-            f"{dict(zip((k.name for k in KINDS), counts))}"
+            f"{dict(zip(KIND_NAMES, counts))}"
         )
 
 

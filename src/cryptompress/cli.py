@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 from . import analysis, codec, container
 from .cipher import (
-    KINDS,
+    KIND_NAMES,
     CipherGrid,
     check_rounds,
     decrypt_block,
@@ -169,24 +169,51 @@ def _cmd_harden(args) -> int:
     return 0
 
 
+def _asm_text(cell) -> str:
+    _, x_pos, mask = cell
+    return "".join("X" if i == x_pos else "+1" if (mask >> (3 - i)) & 1 else "-1" for i in range(4))
+
+
+# Each cell's text in the `inspect` table, by tag.
+_CELL_TEXT = (
+    lambda c: "-",
+    _asm_text,
+    lambda c: str(c[1]),
+    lambda c: " ; ".join(f"{s}|{r}" for s, r in c[1]) if c[1] else "(none)",
+    lambda c: f"{PRIMES[c[1]]}|{c[2]}",
+)
+
 # `inspect --json` is the text of json.dumps(document, indent=2), written one
 # block at a time. A cell sits five levels deep: "blocks", its block, "rows",
-# its row and itself.
-_CELL_INDENT = " " * 10
+# its row and itself, so its braces are indented 10 spaces and its members 12.
 _BLOCK_JSON = (
     '    {{\n      "orders": [\n        {},\n        {},\n        {},\n        {}\n      ],'
     '\n      "rows": [\n        [\n{}\n        ]\n      ]\n    }}'
 )
 _ROW_BREAK = "\n        ],\n        [\n"
+_MEMBER = ",\n" + " " * 12
+
+
+@functools.lru_cache(maxsize=256)  # one entry per pair of nibbles
+def _pair_json(pair: tuple[int, int]) -> str:
+    return "              [\n                %d,\n                %d\n              ]" % pair
+
+
+# Each cell's members after "kind" in `inspect --json`, by tag.
+_CELL_JSON = (
+    lambda c: "",
+    lambda c: f'{_MEMBER}"x_pos": {c[1]}{_MEMBER}"sign_mask": {c[2]}{_MEMBER}"text": "{_asm_text(c)}"',
+    lambda c: f'{_MEMBER}"value": {c[1]}',
+    lambda c: _MEMBER + '"pairs": ' + ("[\n" + ",\n".join(map(_pair_json, c[1])) + "\n            ]" if c[1] else "[]"),
+    lambda c: f'{_MEMBER}"prime": {PRIMES[c[1]]}{_MEMBER}"last_seq": {c[2]}',
+)
 
 
 @functools.lru_cache(maxsize=4096)
 def _cell_json(cell) -> str:
-    """A cell's JSON object, indented to its depth in `inspect --json`;
-    bounded, so memory does not grow with the file."""
-    kind = KINDS[cell[0]]
-    text = '{\n  "kind": "' + kind.name + '"' + kind.json(cell) + "\n}"
-    return _CELL_INDENT + text.replace("\n", "\n" + _CELL_INDENT)
+    """A cell's JSON object at its depth in `inspect --json`; bounded, so
+    memory does not grow with the file."""
+    return '          {\n            "kind": "%s"%s\n          }' % (KIND_NAMES[cell[0]], _CELL_JSON[cell[0]](cell))
 
 
 def _write_inspect_json(msg: container.CipherMessage) -> None:
@@ -204,7 +231,7 @@ def _render_grid(grid: CipherGrid) -> str:
     headers = ["Order", "ASM(h)", "ASM(v)", "RM", "SM", "TM"]
     rows = []
     for r, row in enumerate(grid.rows()):
-        rows.append([format(grid.orders[r], "04b")] + [KINDS[c[0]].text(c) for c in row])
+        rows.append([format(grid.orders[r], "04b")] + [_CELL_TEXT[c[0]](c) for c in row])
     widths = [max(len(headers[c]), *(len(row[c]) for row in rows)) for c in range(6)]
     lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
     for row in rows:

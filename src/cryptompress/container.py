@@ -7,6 +7,8 @@ order. Length is always 21 + 4*count.
 Cipher file ("CMC1"): magic, version byte, sticky round byte, big-endian
 32-bit block count, tail-bits byte, then per block two packed order bytes
 and 20 tagged cells row-major. All multi-byte integers are big-endian.
+Each cell is a record led by its tag byte (_WIRE below); an SM record,
+(tag, count), is followed by that many (S, R) byte pairs.
 """
 
 import struct
@@ -15,7 +17,7 @@ from operator import itemgetter, le
 from typing import NamedTuple
 
 from .cipher import (
-    KINDS,
+    KIND_NAMES,
     N_CELLS,
     N_KINDS,
     SM,
@@ -35,6 +37,12 @@ from .errors import (
     ValueOutOfRange,
 )
 from .keyschedule import BaseKey, KeyChain
+
+# Each cell's wire record by tag (empty, asm, rm, sm, tm), tag byte first,
+# and the largest value of each field after the tag; the SM limit holds for
+# every pair byte.
+_WIRE = tuple(map(struct.Struct, ("B", "BBB", ">Bi", "BB", "BBB")))
+_LIMITS = ((), (3, 15), (), (15,), (3,))
 
 KEY_MAGIC = b"CMK1"
 CIPHER_MAGIC = b"CMC1"
@@ -86,7 +94,7 @@ def read_key(data: bytes) -> KeyChain:
 
 def _encode_cell(cell: Cell) -> bytes:
     if cell[0] != SM:
-        return KINDS[cell[0]].wire.pack(*cell)
+        return _WIRE[cell[0]].pack(*cell)
     pairs = cell[1]
     if len(pairs) > 255:
         raise MalformedCell("sequence list longer than 255 pairs")
@@ -104,22 +112,22 @@ def _decode_cell(data: bytes, pos: int) -> tuple[Cell, int]:
     tag = data[pos]
     if tag >= N_KINDS:
         raise MalformedCell(f"unknown cell tag {tag}")
-    kind = KINDS[tag]
-    end = pos + kind.wire.size
+    wire = _WIRE[tag]
+    end = pos + wire.size
     if end > len(data):
-        raise _truncated(data, pos, kind.wire.size)
-    cell = kind.wire.unpack_from(data, pos)
+        raise _truncated(data, pos, wire.size)
+    cell = wire.unpack_from(data, pos)
     if tag == SM:
         start, end = end, end + 2 * cell[1]
         body = data[start:end]
         # pairs are read in order: a whole pair out of range outranks truncation
-        if max(body[: len(body) & ~1], default=0) > kind.limits[0]:
+        if max(body[: len(body) & ~1], default=0) > _LIMITS[SM][0]:
             raise MalformedCell(f"sequence pairs {body.hex()} do not fit nibbles")
         if end > len(data):
             raise _truncated(data, start, end - start)
         return (SM, tuple(zip(body[::2], body[1::2]))), end
-    if not all(map(le, cell[1:], kind.limits)):
-        raise MalformedCell(f"{kind.name} cell payload {cell[1:]} out of range")
+    if not all(map(le, cell[1:], _LIMITS[tag])):
+        raise MalformedCell(f"{KIND_NAMES[tag]} cell payload {cell[1:]} out of range")
     return cell, end
 
 
@@ -192,7 +200,7 @@ def read_header(data: bytes) -> tuple[int, int, int]:
 
 
 # Each cell's wire size by tag; an SM cell adds two bytes per pair.
-_WIRE_SIZES = tuple(kind.wire.size for kind in KINDS)
+_WIRE_SIZES = tuple(wire.size for wire in _WIRE)
 
 
 def read_cipher(data: bytes) -> CipherMessage:

@@ -20,7 +20,7 @@ from cryptompress import analysis, codec
 from cryptompress.cipher import (
     ASM,
     EMPTY,
-    KINDS,
+    KIND_NAMES,
     N_SLOTS,
     RM,
     SM,
@@ -65,23 +65,23 @@ def _split_logical(cells, key):
         for i in range(N_SLOTS):
             c = cells[kind * N_SLOTS + i]
             if c[0] != ASM:
-                raise IntegrityFailure(f"matrix-string slot ({kind},{i}) holds {KINDS[c[0]].name}")
+                raise IntegrityFailure(f"matrix-string slot ({kind},{i}) holds {KIND_NAMES[c[0]]}")
             if c[1] != i:
                 raise IntegrityFailure(f"matrix-string cell at slot {i} marks position {c[1]}")
     rm = {}
     for i, p in enumerate(PRIMES):
         c = cells[2 * N_SLOTS + i]
         if c[0] not in (RM, EMPTY):
-            raise IntegrityFailure(f"outcome slot for prime {p} holds {KINDS[c[0]].name}")
+            raise IntegrityFailure(f"outcome slot for prime {p} holds {KIND_NAMES[c[0]]}")
         rm[p] = c[1] if c[0] == RM else None
         s = cells[SM_BASE + i]
         if s[0] != SM:
-            raise IntegrityFailure(f"sequence slot for prime {p} holds {KINDS[s[0]].name}")
+            raise IntegrityFailure(f"sequence slot for prime {p} holds {KIND_NAMES[s[0]]}")
     tm = []
     for i in range(N_SLOTS):
         c = cells[4 * N_SLOTS + i]
         if c[0] not in (TM, EMPTY):
-            raise IntegrityFailure(f"term slot {i} holds {KINDS[c[0]].name}")
+            raise IntegrityFailure(f"term slot {i} holds {KIND_NAMES[c[0]]}")
         tm.append((PRIMES[c[1]], c[2]) if c[0] == TM else None)
     sm = {p: open_pairs(cells[SM_BASE + i][1], key, i) for i, p in enumerate(PRIMES)}
     return PrimeBlock(rm=rm, sm=sm, tm=tuple(tm))

@@ -33,7 +33,7 @@ import pytest
 
 import cryptompress as cm
 from cryptompress import cli, container
-from cryptompress.cipher import ASM, EMPTY, KINDS, RM, SM, TM
+from cryptompress.cipher import ASM, EMPTY, KIND_NAMES, RM, SM, TM
 from cryptompress.cli import main
 from cryptompress.codec import PRIMES
 
@@ -98,11 +98,16 @@ def test_inspect_views_match_lock(locked, tmp_path, name):
     assert _digests(tmp_path, name) == locked[name]
 
 
+def _asm_text(x_pos, mask):
+    """A matrix string as the table shows it: X at x_pos, else each sign bit's +1 or -1."""
+    return "".join("X" if i == x_pos else ("-1", "+1")[mask >> (3 - i) & 1] for i in range(4))
+
+
 # The oracle's cell fields after "kind", by tag: `inspect --json` must print
 # what json.dumps writes for these.
 _VIEWS = (
     lambda c: {},
-    lambda c: {"x_pos": c[1], "sign_mask": c[2], "text": KINDS[ASM].text(c)},
+    lambda c: {"x_pos": c[1], "sign_mask": c[2], "text": _asm_text(c[1], c[2])},
     lambda c: {"value": c[1]},
     lambda c: {"pairs": [list(p) for p in c[1]]},
     lambda c: {"prime": PRIMES[c[1]], "last_seq": c[2]},
@@ -110,7 +115,7 @@ _VIEWS = (
 
 
 def _cell_view(cell) -> dict:
-    return {"kind": KINDS[cell[0]].name, **_VIEWS[cell[0]](cell)}
+    return {"kind": KIND_NAMES[cell[0]], **_VIEWS[cell[0]](cell)}
 
 
 def _whole_document_json(data: bytes) -> bytes:
