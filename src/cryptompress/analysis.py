@@ -2,8 +2,8 @@
 grows brute-force work, and run-heavy inputs compress into fewer sequence
 events. Plus a standard bit-diffusion diagnostic.
 
-Every run takes an explicit seed; reports are NamedTuples with to_dict
-for JSON/CSV emission.
+Every run takes an explicit seed; reports are NamedTuples, emitted as
+JSON/CSV through _asdict(), and RatioReport.to_dict adds its means.
 """
 
 import random
@@ -27,9 +27,6 @@ class AttackReport(NamedTuple):
     hardenings_triggered: int
     elapsed_seconds: float
     success: bool
-
-    def to_dict(self) -> dict:
-        return self._asdict()
 
 
 class BlockStats(NamedTuple):
@@ -68,9 +65,6 @@ class AvalancheReport(NamedTuple):
     mean: float
     min: int
     max: int
-
-    def to_dict(self) -> dict:
-        return self._asdict()
 
 
 def demo_block(rng: random.Random) -> int:

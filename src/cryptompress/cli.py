@@ -127,7 +127,10 @@ def _emit(args, payload: dict | list, csv_rows: Optional[list[dict]] = None) -> 
 
 def _cmd_keygen(args) -> int:
     chain = KeyChain(base=generate_key())
-    _write_file(args.out, container.write_key(chain))
+    # the key is secret: owner-only, also when it overwrites an existing file
+    with open(args.out, "wb", opener=lambda path, flags: os.open(path, flags, 0o600)) as fh:
+        os.fchmod(fh.fileno(), 0o600)
+        fh.write(container.write_key(chain))
     print(f"wrote 128-bit key to {args.out}", file=sys.stderr)
     return 0
 
@@ -316,10 +319,10 @@ def _cmd_analyze_bruteforce(args) -> int:
         grid, chain, block, args.restricted_bits, args.harden_every, args.seed
     )
     rows = [
-        {"run": "baseline", **baseline.to_dict()},
-        {"run": "hardened", **hardened.to_dict()},
+        {"run": "baseline", **baseline._asdict()},
+        {"run": "hardened", **hardened._asdict()},
     ]
-    _emit(args, {"baseline": baseline.to_dict(), "hardened": hardened.to_dict()}, rows)
+    _emit(args, {"baseline": baseline._asdict(), "hardened": hardened._asdict()}, rows)
     return 0
 
 
@@ -349,7 +352,7 @@ def _cmd_analyze_avalanche(args) -> int:
     else:
         chain = KeyChain(base=generate_key(rng))
     report = analysis.avalanche_test(args.samples, chain, args.seed)
-    _emit(args, report.to_dict())
+    _emit(args, report._asdict())
     return 0
 
 

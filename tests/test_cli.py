@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import pkgutil
 import random
 import re
 import shutil
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import cryptompress as cm
 from cryptompress import cli, container
 from cryptompress.cipher import SM
 from cryptompress.cli import main
@@ -32,6 +35,30 @@ def test_keygen_writes_parseable_key(tmp_path):
     assert len(out.read_bytes()) == 21
 
 
+def _mode(path) -> int:
+    return path.stat().st_mode & 0o777
+
+
+def test_keygen_key_file_is_owner_only_and_harden_keeps_it(tmp_path):
+    new, existing = tmp_path / "new.cmk", tmp_path / "existing.cmk"
+    existing.write_bytes(b"old key")
+    existing.chmod(0o644)
+    plain, cipher = tmp_path / "p.bin", tmp_path / "c.cmc"
+    plain.write_bytes(b"sixteen byte msg")
+    umask = os.umask(0o022)
+    try:
+        assert main(["keygen", "--out", str(new)]) == 0
+        assert _mode(new) == 0o600
+        assert main(["keygen", "--out", str(existing)]) == 0
+        assert _mode(existing) == 0o600
+        assert len(existing.read_bytes()) == 21
+        assert main(["encrypt", "--key", str(new), "--in", str(plain), "--out", str(cipher)]) == 0
+        assert main(["harden", "--key", str(new), "--cipher", str(cipher)]) == 0
+        assert _mode(new) == 0o600
+    finally:
+        os.umask(umask)
+
+
 def test_encrypt_decrypt_round_trip(tmp_path, golden_key_file):
     plain = tmp_path / "p.bin"
     plain.write_bytes(bytes(range(8)))
@@ -48,7 +75,7 @@ def test_decrypt_with_flipped_key_bit_exits_2(tmp_path, golden_key_file):
     cipher = tmp_path / "c.cmc"
     assert main(["encrypt", "--key", golden_key_file, "--in", str(plain), "--out", str(cipher)]) == 0
     bad = tmp_path / "bad.cmk"
-    data = bytearray(open(golden_key_file, "rb").read())
+    data = bytearray(Path(golden_key_file).read_bytes())
     data[-1] ^= 1
     bad.write_bytes(bytes(data))
     rc = main(["decrypt", "--key", str(bad), "--in", str(cipher), "--out", str(tmp_path / "o.bin")])
@@ -66,12 +93,12 @@ def test_flipped_last_bit_rate_200_trials(tmp_path):
     kp, cp, pp, op = (str(tmp_path / n) for n in ("k", "c", "p", "o"))
     for _ in range(200):
         chain = cm.KeyChain(base=cm.generate_key(rng))
-        open(kp, "wb").write(container.write_key(chain))
-        open(pp, "wb").write(rng.randbytes(16))
+        Path(kp).write_bytes(container.write_key(chain))
+        Path(pp).write_bytes(rng.randbytes(16))
         assert main(["encrypt", "--key", kp, "--in", pp, "--out", cp]) == 0
         raw = bytearray(container.write_key(chain))
         raw[-1] ^= 1
-        open(kp, "wb").write(bytes(raw))
+        Path(kp).write_bytes(bytes(raw))
         if main(["decrypt", "--key", kp, "--in", cp, "--out", op]) == 2:
             exits2 += 1
     assert exits2 / 200 >= 0.95
@@ -82,9 +109,9 @@ def test_harden_updates_both_files(tmp_path, golden_key_file):
     plain.write_bytes(b"sixteen byte msg")
     cipher = tmp_path / "c.cmc"
     main(["encrypt", "--key", golden_key_file, "--in", str(plain), "--out", str(cipher)])
-    stale_key = open(golden_key_file, "rb").read()
+    stale_key = Path(golden_key_file).read_bytes()
     assert main(["harden", "--key", golden_key_file, "--cipher", str(cipher)]) == 0
-    new_key = open(golden_key_file, "rb").read()
+    new_key = Path(golden_key_file).read_bytes()
     assert len(new_key) == 25
     assert container.read_cipher(cipher.read_bytes()).sticky_rounds == 1
     # decryptable with the updated key
@@ -231,7 +258,7 @@ def test_stale_key_refused_from_header_before_any_block_is_parsed(tmp_path, gold
     cipher = tmp_path / "c.cmc"
     assert main(["encrypt", "--key", golden_key_file, "--in", str(plain), "--out", str(cipher)]) == 0
     stale = tmp_path / "stale.cmk"
-    stale.write_bytes(open(golden_key_file, "rb").read())
+    stale.write_bytes(Path(golden_key_file).read_bytes())
     assert main(["harden", "--key", golden_key_file, "--cipher", str(cipher)]) == 0
 
     def no_block_parsing(*args):
@@ -327,6 +354,34 @@ def test_readme_analyze_synopsis_shows_the_parser_defaults():
             seen[m[1], flag] = (float(value), defaults[flag.replace("-", "_")])
     assert {sub for sub, _ in seen} == {"bruteforce", "compression", "avalanche"}
     assert all(shown == default for shown, default in seen.values()), seen
+
+
+def _resolve(dotted: str):
+    """The object a dotted name in the README names: a standard-library
+    module's attribute, or one of the package, its modules or their names."""
+    head, *rest = dotted.split(".")
+    if head in sys.stdlib_module_names:
+        obj = importlib.import_module(head)
+    else:
+        modules = [importlib.import_module(f"cryptompress.{m.name}") for m in pkgutil.iter_modules(cm.__path__)]
+        obj = next(getattr(owner, head) for owner in [cm, *modules] if hasattr(owner, head))
+    for name in rest:
+        obj = getattr(obj, name)
+    return obj
+
+
+def test_readme_names_only_code_that_exists():
+    """Every backticked `module.name` or `Class.attr` in the README
+    resolves, so the docs cannot name deleted code."""
+    names = set(re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", README.read_text(encoding="utf-8")))
+    assert {"cipher.compile_key", "CipherGrid.cells", "json.dumps"} <= names
+    unresolved = []
+    for name in sorted(names):
+        try:
+            _resolve(name)
+        except (AttributeError, ImportError, StopIteration):
+            unresolved.append(name)
+    assert unresolved == []
 
 
 def test_cli_import_loads_no_dataclasses():

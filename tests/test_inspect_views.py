@@ -223,6 +223,7 @@ def test_reader_closing_the_pipe_early_is_not_an_error(tmp_path):
     head = proc.stdout.read(100)
     proc.stdout.close()
     stderr = proc.stderr.read()
+    proc.stderr.close()
     assert proc.wait(timeout=60) == 0
     assert head.startswith(b'{\n  "sticky_rounds": 0,')
     assert b"Traceback" not in stderr and b"Error" not in stderr, stderr
