@@ -86,8 +86,6 @@ def test_flipped_last_bit_rate_200_trials(tmp_path):
     """Measured 200/200 with this seed before freezing the 95% floor (the
     last key bit serves prime 7's redundancy counts; a 16-byte payload
     spans 5 blocks, so some block nearly always has a prime-7 event)."""
-    import cryptompress as cm
-
     rng = random.Random(31337)
     exits2 = 0
     kp, cp, pp, op = (str(tmp_path / n) for n in ("k", "c", "p", "o"))
