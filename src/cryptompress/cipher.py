@@ -25,12 +25,7 @@ from typing import NamedTuple, Sequence
 
 from .codec import PRIMES
 from .engine import AddSubMatrix, CompressedBlock, compress_block, decompress_block
-from .errors import (
-    IncompleteGrid,
-    IntegrityFailure,
-    RoundCountMismatch,
-    ValueOutOfRange,
-)
+from .errors import IntegrityFailure, InventoryMismatch, RoundCountMismatch, ValueOutOfRange
 from .keyschedule import BaseKey, KeyChain, derive_material, extend_key
 
 N_KINDS = 5
@@ -86,21 +81,14 @@ _INVENTORY = {
 }
 
 
-def check_counts(counts: list[int], exc: type[Exception]) -> None:
-    """Raise `exc` unless counts[tag], the number of cells with each tag in
-    one grid, make up the 20 logical items of a block."""
+def check_counts(counts: list[int]) -> None:
+    """Raise InventoryMismatch unless counts[tag], the number of cells with
+    each tag in one grid, make up the 20 logical items of a block."""
     if counts != _INVENTORY.get(counts[RM]):
-        raise exc(
+        raise InventoryMismatch(
             "cell inventory is not a permutation of the 20 logical items: "
             f"{dict(zip(KIND_NAMES, counts))}"
         )
-
-
-def _check_inventory(cells: Sequence[Cell], exc: type[Exception]) -> None:
-    if len(cells) != N_CELLS:
-        raise exc(f"expected {N_CELLS} cells, got {len(cells)}")
-    tags = [c[0] for c in cells]
-    check_counts([tags.count(tag) for tag in range(N_KINDS)], exc)
 
 
 def check_rounds(rounds: int, chain: KeyChain) -> None:
@@ -224,19 +212,18 @@ def _open_grid(grid: CipherGrid, chain: KeyChain) -> tuple[CompiledKey, list[Cel
     strings' sign masks are not compared with the key.
 
     Raises, first match wins: RoundCountMismatch when the chain's sticky
-    depth disagrees with the grid; IncompleteGrid when the cells are not
+    depth disagrees with the grid; InventoryMismatch when the cells are not
     the 20 logical items; IntegrityFailure when a slot holds the wrong
     kind (wrong key or tampered ciphertext).
     """
     check_rounds(grid.sticky_rounds, chain)
     key = compile_key(chain)
     cells = grid.cells
-    if len(cells) != N_CELLS:
-        _check_inventory(cells, IncompleteGrid)
-    c = [cells[j] for j in key.slots]
+    c = [cells[j] for j in key.slots] if len(cells) == N_CELLS else []
     heads = [cell[:2] for cell in c[: 2 * N_SLOTS]]
     if heads != _ASM_HEADS or tuple(map(_tag, c[2 * N_SLOTS :])) not in _DATA_TAGS:
-        _check_inventory(cells, IncompleteGrid)  # an inventory fault outranks a slot fault
+        tags = list(map(_tag, cells))  # an inventory fault outranks a slot fault
+        check_counts([tags.count(tag) for tag in range(N_KINDS)])
         raise IntegrityFailure("a slot holds the wrong kind, or a matrix string marks the wrong position")
     return key, c
 

@@ -30,7 +30,6 @@ from .errors import (
     BadMagic,
     BadVersion,
     ContainerError,
-    InventoryMismatch,
     MalformedCell,
     RoundCountMismatch,
     Truncated,
@@ -131,20 +130,20 @@ def _decode_cell(data: bytes, pos: int) -> tuple[Cell, int]:
     return cell, end
 
 
-def _check_tail(block_count: int, tail_bits: int, exc: type[Exception]) -> None:
-    """Raise `exc` unless the last of `block_count` blocks holds
+def _check_tail(block_count: int, tail_bits: int) -> None:
+    """Raise MalformedCell unless the last of `block_count` blocks holds
     `tail_bits` bits and the payload ends on a whole byte, as every payload
     that segment_message cuts does; the writer and the reader share it."""
     if not 1 <= tail_bits <= 30:
-        raise exc(f"tail_bits must be in [1,30], got {tail_bits}")
+        raise MalformedCell(f"tail_bits must be in [1,30], got {tail_bits}")
     if (30 * (block_count - 1) + tail_bits) % 8:
-        raise exc(f"{block_count} blocks with {tail_bits} tail bits are not whole bytes")
+        raise MalformedCell(f"{block_count} blocks with {tail_bits} tail bits are not whole bytes")
 
 
 def write_cipher(msg: CipherMessage) -> bytes:
     if not msg.grids:
         raise MalformedCell("a cipher file needs at least one block")
-    _check_tail(len(msg.grids), msg.tail_bits, ValueOutOfRange)
+    _check_tail(len(msg.grids), msg.tail_bits)
     rounds = msg.grids[0].sticky_rounds
     if any(g.sticky_rounds != rounds for g in msg.grids):
         raise RoundCountMismatch("blocks disagree about sticky depth")
@@ -195,7 +194,7 @@ def read_header(data: bytes) -> tuple[int, int, int]:
     if len(data) < HEADER_BYTES:
         raise _truncated(data, 10, 1)
     tail_bits = data[10]
-    _check_tail(block_count, tail_bits, MalformedCell)
+    _check_tail(block_count, tail_bits)
     return rounds, block_count, tail_bits
 
 
@@ -242,7 +241,7 @@ def read_cipher(data: bytes) -> CipherMessage:
             raise
         tags = bytes(map(itemgetter(0), cells))
         if tags not in valid_tags:
-            check_counts([tags.count(tag) for tag in range(N_KINDS)], InventoryMismatch)
+            check_counts([tags.count(tag) for tag in range(N_KINDS)])
             valid_tags.add(tags)
         grids.append(CipherGrid((a >> 4, a & 15, b >> 4, b & 15), tuple(cells), rounds))
     if pos != len(data):

@@ -28,10 +28,6 @@ class RoundCountMismatch(CryptompressError):
     were applied."""
 
 
-class IncompleteGrid(CryptompressError):
-    """A cipher grid does not hold a permutation of the 20 logical cells."""
-
-
 class EntropyUnavailable(CryptompressError):
     """The supplied randomness source failed to produce bits."""
 
@@ -62,5 +58,5 @@ class MalformedCell(ContainerError):
 
 
 class InventoryMismatch(ContainerError):
-    """A serialized grid's cells are not a permutation of the 20 logical
-    items."""
+    """A grid's cells, in memory or on the wire, are not a permutation of
+    the 20 logical items."""

@@ -18,8 +18,8 @@ from cryptompress.cipher import (
 )
 from cryptompress.engine import AddSubMatrix, compress_block
 from cryptompress.errors import (
-    IncompleteGrid,
     IntegrityFailure,
+    InventoryMismatch,
     RoundCountMismatch,
     ValueOutOfRange,
 )
@@ -213,7 +213,7 @@ def test_scramble_rejects_bad_inventory():
     slots = compile_key(KeyChain(base=generate_key(rng))).slots
     cells = list(grid_items(rng))
     cells[0] = (EMPTY,)  # now 7 matrix strings and an extra empty
-    with pytest.raises(IncompleteGrid):
+    with pytest.raises(InventoryMismatch):
         scramble(tuple(cells), slots)
 
 

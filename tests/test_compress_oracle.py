@@ -21,11 +21,12 @@ from cryptompress import analysis, codec
 from cryptompress.cipher import (
     EMPTY,
     N_CELLS,
+    N_KINDS,
     RM,
     SM,
     TM,
     CipherGrid,
-    _check_inventory,
+    check_counts,
     compile_key,
     decrypt_block,
     encrypt_block,
@@ -33,7 +34,7 @@ from cryptompress.cipher import (
 )
 from cryptompress.codec import PRIME_INDEX, PRIMES, SYMBOLS_PER_BLOCK
 from cryptompress.engine import AddSubMatrix, CompressedBlock, TraceStep, compress_block
-from cryptompress.errors import CryptompressError, IncompleteGrid, ValueOutOfRange, WrongLength
+from cryptompress.errors import CryptompressError, ValueOutOfRange, WrongLength
 from cryptompress.keyschedule import KeyChain, extend_key, generate_key
 
 
@@ -147,9 +148,15 @@ def reference_data_cells(cb: PrimeBlock, key) -> tuple:
     return tuple(cells)
 
 
+def check_items(cells):
+    """Raise InventoryMismatch unless `cells` are the 20 logical items."""
+    tags = [c[0] for c in cells]
+    check_counts([tags.count(tag) for tag in range(N_KINDS)])
+
+
 def scramble(cells, slots):
     """Scatter the 20 logical cells to their keyed slots."""
-    _check_inventory(cells, IncompleteGrid)
+    check_items(cells)
     out = [None] * N_CELLS
     for cell, j in zip(cells, slots):
         out[j] = cell
@@ -158,7 +165,7 @@ def scramble(cells, slots):
 
 def unscramble(cells, slots):
     """Gather the logical layout back; two-sided inverse of scramble."""
-    _check_inventory(cells, IncompleteGrid)
+    check_items(cells)
     return tuple(cells[j] for j in slots)
 
 
@@ -198,7 +205,7 @@ def test_one_pass_compress_and_encrypt_match_reference_on_20000_blocks():
         assert cb == index_shape(want), (n, block)
         assert steps == want_steps, (n, block)
         grid = encrypt_block(block, chain)
-        _check_inventory(grid.cells, IncompleteGrid)
+        check_items(grid.cells)
         assert grid == reference_encrypt(block, chain), (n, block)
         assert decrypt_block(grid, chain) == block
         depths[len(chain.sticky)] += 1

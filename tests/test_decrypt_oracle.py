@@ -308,7 +308,7 @@ def test_one_pass_decrypt_matches_reference_on_20000_grids():
     for name in ("wrong_low_bits", "rm_shift", "sm_edit", "tm_edit", "cell_swap"):
         assert verdicts.get((name, "IntegrityFailure"), 0) > 0, name
     assert verdicts[("sm_edit", "ValueOutOfRange")] > 0
-    assert verdicts[("inventory_edit", "IncompleteGrid")] > 0
+    assert verdicts[("inventory_edit", "InventoryMismatch")] > 0
     assert verdicts[("bad_prime_code", "IntegrityFailure")] == 2250
     assert verdicts[("round_count", "RoundCountMismatch")] == 2250
 
