@@ -179,9 +179,9 @@ def seal_pairs(pairs, mask: int, swap: bool, prime_index: int) -> tuple[tuple[in
     return tuple([(s ^ ms, r ^ mr) for s, r in pairs])
 
 
-def data_cells(cb: CompressedBlock, mask: int = 0, swap: bool = False) -> tuple[Cell, ...]:
+def data_cells(cb: CompressedBlock, mask: int, swap: bool) -> tuple[Cell, ...]:
     """The 12 data cells (rm, sm, tm) a compressed block contributes, the
-    sequence lists sealed under (mask, swap); the defaults leave them clear."""
+    sequence lists sealed under (mask, swap)."""
     rm, sm, tm = cb
     return (
         *[(EMPTY,) if v is None else (RM, v) for v in rm],

@@ -434,7 +434,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except BrokenPipeError:
         # downstream consumer (head, less) closed the pipe; not an error
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
         return 0
     except (CryptompressError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ Each cell is a record led by its tag byte (_WIRE below); an SM record,
 import struct
 from itertools import chain
 from operator import itemgetter, le
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .cipher import (
     KIND_NAMES,
@@ -42,6 +42,7 @@ from .keyschedule import BaseKey, KeyChain
 # every pair byte.
 _WIRE = tuple(map(struct.Struct, ("B", "BBB", ">Bi", "BB", "BBB")))
 _LIMITS = ((), (3, 15), (), (15,), (3,))
+_NIBBLES = frozenset(range(16))  # the values of one order nibble
 
 KEY_MAGIC = b"CMK1"
 CIPHER_MAGIC = b"CMC1"
@@ -65,9 +66,12 @@ def write_key(chain: KeyChain) -> bytes:
         raise ValueOutOfRange("at most 255 sticky keys fit the key file")
     out = bytearray(KEY_MAGIC)
     out.append(len(chain.sticky))
-    out += chain.base.to_bytes()
-    for word in chain.sticky:
-        out += word.to_bytes(4, "big")
+    try:
+        out += chain.base.to_bytes()
+        for word in chain.sticky:
+            out += word.to_bytes(4, "big")
+    except OverflowError as exc:
+        raise ValueOutOfRange(f"a key word does not fit its field: {exc}") from None
     return bytes(out)
 
 
@@ -140,6 +144,27 @@ def _check_tail(block_count: int, tail_bits: int) -> None:
         raise MalformedCell(f"{block_count} blocks with {tail_bits} tail bits are not whole bytes")
 
 
+def _encode_checked(cell: Cell) -> bytes:
+    """The bytes of a cell that read_cipher reads back as the same cell;
+    any other cell raises the reader's error for its bytes, or MalformedCell."""
+    try:
+        raw = _encode_cell(cell)
+    except (IndexError, TypeError, ValueError, struct.error) as exc:
+        raise MalformedCell(f"cell {cell!r} has no wire record: {exc}") from None
+    if _decode_cell(raw, 0) != (cell, len(raw)):
+        raise MalformedCell(f"cell {cell!r} does not read back as itself")
+    return raw
+
+
+def _check_tags(cells: Sequence[Cell], valid: set[bytes]) -> None:
+    """check_counts on one grid's tag string, unless `valid`, the strings
+    that passed before, holds it; the writer and the reader share it."""
+    tags = bytes(map(itemgetter(0), cells))
+    if tags not in valid:
+        check_counts([tags.count(tag) for tag in range(N_KINDS)])
+        valid.add(tags)
+
+
 def write_cipher(msg: CipherMessage) -> bytes:
     if not msg.grids:
         raise MalformedCell("a cipher file needs at least one block")
@@ -147,27 +172,30 @@ def write_cipher(msg: CipherMessage) -> bytes:
     rounds = msg.grids[0].sticky_rounds
     if any(g.sticky_rounds != rounds for g in msg.grids):
         raise RoundCountMismatch("blocks disagree about sticky depth")
-    if rounds > 255:
-        raise ValueOutOfRange("at most 255 sticky rounds fit the cipher file")
+    if not 0 <= rounds <= 255:
+        raise ValueOutOfRange(f"sticky rounds must be in [0,255], got {rounds}")
     out = bytearray(CIPHER_MAGIC)
     out.append(CIPHER_VERSION)
     out.append(rounds)
     out += struct.pack(">I", len(msg.grids))
     out.append(msg.tail_bits)
-    # Each distinct cell is encoded once, through a memo that lives for
-    # this call, and its bytes are decoded once as read_cipher would: the
-    # writer refuses every cell the reader refuses, with the reader's error.
+    # Each distinct cell and tag string is checked once, through memos that
+    # live for this call: the writer refuses every grid the reader would
+    # refuse or read back as another grid, with the reader's error if any.
     memo: dict[Cell, bytes] = {}
+    valid_tags: set[bytes] = set()
     for grid in msg.grids:
         o = grid.orders
+        if len(o) != 4 or not _NIBBLES.issuperset(o):
+            raise ValueOutOfRange(f"orders {o} are not four nibbles")
         out.append((o[0] << 4) | o[1])
         out.append((o[2] << 4) | o[3])
         for cell in grid.cells:
             raw = memo.get(cell)
             if raw is None:
-                raw = memo[cell] = _encode_cell(cell)
-                _decode_cell(raw, 0)
+                raw = memo[cell] = _encode_checked(cell)
             out += raw
+        _check_tags(grid.cells, valid_tags)
     return bytes(out)
 
 
@@ -239,10 +267,7 @@ def read_cipher(data: bytes) -> CipherMessage:
             # alone decides what a bad cell raises, and at which offset
             _decode_cell(data, pos)
             raise
-        tags = bytes(map(itemgetter(0), cells))
-        if tags not in valid_tags:
-            check_counts([tags.count(tag) for tag in range(N_KINDS)])
-            valid_tags.add(tags)
+        _check_tags(cells, valid_tags)
         grids.append(CipherGrid((a >> 4, a & 15, b >> 4, b & 15), tuple(cells), rounds))
     if pos != len(data):
         raise MalformedCell(f"{len(data) - pos} trailing bytes after last block")
@@ -256,4 +281,4 @@ def compressed_size_bits(cb) -> int:
     Used by the compression-ratio harness; the 8 matrix-string cells are
     key material, not compressed data, so they are excluded.
     """
-    return 8 * sum(len(_encode_cell(c)) for c in data_cells(cb))
+    return 8 * sum(len(_encode_cell(c)) for c in data_cells(cb, 0, False))

@@ -173,6 +173,36 @@ def test_inspect_json_and_text(tmp_path, golden_key_file, capsys):
     assert "Order" in text and "block 1" in text
 
 
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return 1
+
+
+def test_broken_pipe_exits_0_and_closes_its_devnull_descriptor(tmp_path, golden_key_file, monkeypatch):
+    """main points stdout at os.devnull after a broken pipe and closes the
+    descriptor it opened for that; os.dup2 is recorded, not run, so the real
+    stdout is never touched."""
+    plain, cipher = tmp_path / "p.bin", tmp_path / "c.cmc"
+    plain.write_bytes(b"abcd")
+    assert main(["encrypt", "--key", golden_key_file, "--in", str(plain), "--out", str(cipher)]) == 0
+    dup2_calls = []
+    monkeypatch.setattr(os, "dup2", lambda fd, fd2: dup2_calls.append((fd, fd2)))
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(["inspect", "--cipher", str(cipher), "--json"]) == 0
+    [(devnull, target)] = dup2_calls
+    assert target == 1
+    with pytest.raises(OSError):
+        os.fstat(devnull)
+
+
 def test_usage_errors_exit_1(tmp_path, golden_key_file):
     assert main(["trace", "--key", golden_key_file, "--block", "zz"]) == 1
     assert main(["trace", "--key", golden_key_file, "--block", "1FFFFFFFF"]) == 1

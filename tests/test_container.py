@@ -13,16 +13,11 @@ from cryptompress.errors import (
     InventoryMismatch,
     MalformedCell,
     RoundCountMismatch,
+    ValueOutOfRange,
 )
-from cryptompress.keyschedule import KeyChain, extend_key, generate_key
+from cryptompress.keyschedule import KeyChain, extend_key
+from test_cipher import random_chain
 from test_parse_verdicts import draw_mutation, mutate
-
-
-def random_chain(rng, depth=0):
-    chain = KeyChain(base=generate_key(rng))
-    for _ in range(depth):
-        chain = extend_key(chain, rng)
-    return chain
 
 
 def valid_tails(nblocks):
@@ -214,6 +209,46 @@ def test_write_cipher_refuses_a_256_pair_sequence_list(golden_chain, golden_bloc
     grid = _redraw(cm.encrypt_block(golden_block, golden_chain), SM, lambda: ((1, 2),) * 256)
     with pytest.raises(MalformedCell, match="sequence list longer than 255 pairs"):
         container.write_cipher(container.CipherMessage(grids=(grid,), tail_bits=24))
+
+
+def _write_edited(edit):
+    """Write a one-block message of the grid after `edit(grid)`."""
+    return lambda grid, chain: container.write_cipher(container.CipherMessage((edit(grid),), 24))
+
+
+def _first_of(tag, cell):
+    """Replace the grid's first cell of kind `tag` with `cell`."""
+    def edit(grid):
+        cells = list(grid.cells)
+        cells[next(i for i, c in enumerate(cells) if c[0] == tag)] = cell
+        return grid._replace(cells=tuple(cells))
+    return edit
+
+
+# Each writes what the reader would refuse or read back as another value.
+WRITER_REFUSALS = {
+    "order_16": (_write_edited(lambda g: g._replace(orders=(0, 16, 0, 0))), ValueOutOfRange),
+    "order_negative": (_write_edited(lambda g: g._replace(orders=(-1, 0, 0, 0))), ValueOutOfRange),
+    "rounds_negative": (_write_edited(lambda g: g._replace(sticky_rounds=-1)), ValueOutOfRange),
+    "19_cells": (_write_edited(lambda g: g._replace(cells=g.cells[:19])), InventoryMismatch),
+    "20_empty_cells": (_write_edited(lambda g: g._replace(cells=((EMPTY,),) * 20)), InventoryMismatch),
+    "sm_stray_byte": (_write_edited(_first_of(SM, (SM, ((1, 2, 3),)))), MalformedCell),
+    "unknown_tag": (_write_edited(_first_of(TM, (9,))), MalformedCell),
+    "short_asm": (_write_edited(_first_of(ASM, (ASM, 1))), MalformedCell),
+    "rm_over_int32": (_write_edited(_first_of(RM, (RM, 2**40))), MalformedCell),
+    "sticky_word_33_bits": (lambda grid, chain: container.write_key(chain._replace(sticky=(2**32,))), ValueOutOfRange),
+    "base_word_49_bits": (
+        lambda grid, chain: container.write_key(chain._replace(base=chain.base._replace(asm_key=2**48))),
+        ValueOutOfRange,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", WRITER_REFUSALS)
+def test_writers_refuse_what_the_reader_cannot_read_back(golden_chain, golden_block, case):
+    write, exc = WRITER_REFUSALS[case]
+    with pytest.raises(exc):
+        write(cm.encrypt_block(golden_block, golden_chain), golden_chain)
 
 
 def test_sticky_rounds_survive_serialization(golden_chain, golden_block):

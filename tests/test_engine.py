@@ -6,29 +6,11 @@ from hypothesis import given, settings, strategies as st
 from cryptompress import codec
 from cryptompress.engine import AddSubMatrix, CompressedBlock, compress_block, decompress_block
 from cryptompress.errors import IntegrityFailure, ValueOutOfRange
+from test_acceptance import closed_form_outcomes
 from test_compress_oracle import EmptyResidual, SequenceEvent, traverse_target
 
 st_orders = st.tuples(*[st.integers(0, 15)] * 4)
 st_symbols = st.lists(st.sampled_from(codec.PRIMES), min_size=15, max_size=15)
-
-
-def closed_form_outcomes(symbols, asm):
-    """Independent oracle: outcome_t = t*count(t) + sum of deltas over the
-    cells of every prime processed after t. Processing order is the order
-    of first occurrence, so no traversal is needed."""
-    order = []
-    for s in symbols:
-        if s not in order:
-            order.append(s)
-    outcomes = {}
-    for i, t in enumerate(order):
-        later = order[i + 1 :]
-        outcome = t * symbols.count(t)
-        for c in symbols:
-            if c in later:
-                outcome += asm.delta(t, c)
-        outcomes[t] = outcome
-    return outcomes
 
 
 def tail_run_identity(symbols):
