@@ -2,7 +2,11 @@
 
 Reference implementation: library (codec, engine, keyschedule, cipher,
 container), CLI and analysis harness. Not a secure cipher; see README.
+The analysis harness loads on first use of `cryptompress.analysis`, so
+the file commands do not pay for it.
 """
+
+import importlib
 
 from .codec import (
     BLOCK_BITS,
@@ -40,7 +44,16 @@ from .container import (
     write_cipher,
     write_key,
 )
-from . import analysis, errors
+from . import errors
+
+
+def __getattr__(name):
+    # PEP 562: a plain `from . import analysis` here would call back into
+    # this function before the submodule is bound, and recurse
+    if name == "analysis":
+        return importlib.import_module(".analysis", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BLOCK_BITS",

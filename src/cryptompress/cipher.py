@@ -18,7 +18,7 @@ a seal under nswap(word) with a swap.
 """
 
 import random
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import combinations
 from operator import itemgetter
 from typing import NamedTuple, Sequence
@@ -213,8 +213,9 @@ def _open_grid(grid: CipherGrid, chain: KeyChain) -> tuple[CompiledKey, list[Cel
 
     Raises, first match wins: RoundCountMismatch when the chain's sticky
     depth disagrees with the grid; InventoryMismatch when the cells are not
-    the 20 logical items; IntegrityFailure when a slot holds the wrong
-    kind (wrong key or tampered ciphertext).
+    the 20 logical items, a cell whose tag names no kind included;
+    IntegrityFailure when a slot holds the wrong kind (wrong key or
+    tampered ciphertext).
     """
     check_rounds(grid.sticky_rounds, chain)
     key = compile_key(chain)
@@ -223,7 +224,10 @@ def _open_grid(grid: CipherGrid, chain: KeyChain) -> tuple[CompiledKey, list[Cel
     heads = [cell[:2] for cell in c[: 2 * N_SLOTS]]
     if heads != _ASM_HEADS or tuple(map(_tag, c[2 * N_SLOTS :])) not in _DATA_TAGS:
         tags = list(map(_tag, cells))  # an inventory fault outranks a slot fault
-        check_counts([tags.count(tag) for tag in range(N_KINDS)])
+        counts = [tags.count(tag) for tag in range(N_KINDS)]
+        if sum(counts) != len(tags):
+            raise InventoryMismatch(f"cell tags {[t for t in tags if t not in range(N_KINDS)]} name no kind")
+        check_counts(counts)
         raise IntegrityFailure("a slot holds the wrong kind, or a matrix string marks the wrong position")
     return key, c
 
@@ -260,14 +264,25 @@ def harden_message(
     Each grid opens through decrypt's slot gate first and raises what it
     raises. Cell placement is untouched: the round, a swapping seal under
     nswap(word), rewrites the four sequence-list cells where they sit.
+    Each distinct grid is hardened once, through a memo that lives for
+    this call, so a grid equal to an earlier one gets that one's result; a
+    grid that cannot be a memo key (it holds a list) is hardened alone.
     """
     new_chain = extend_key(chain, rng)
     word = _nswap(new_chain.sticky[-1])
-    out = []
-    for grid in grids:
+
+    def harden(grid: CipherGrid) -> CipherGrid:
         key, c = _open_grid(grid, chain)
         cells = list(grid.cells)
         for i, j in enumerate(key.slots[SM_BASE : 4 * N_SLOTS]):
             cells[j] = (SM, seal_pairs(c[SM_BASE + i][1], word, True, i))
-        out.append(grid._replace(cells=tuple(cells), sticky_rounds=grid.sticky_rounds + 1))
+        return grid._replace(cells=tuple(cells), sticky_rounds=grid.sticky_rounds + 1)
+
+    memo = cache(harden)
+    out = []
+    for grid in grids:
+        try:
+            out.append(memo(grid))
+        except TypeError:  # unhashable; a TypeError of harden's own raises again here
+            out.append(harden(grid))
     return tuple(out), new_chain

@@ -14,10 +14,8 @@ tampering, round-count mismatch), 3 I/O or format error.
 
 import argparse
 import contextlib
-import csv
 import functools
 import io
-import json
 import os
 import random
 import shutil
@@ -25,7 +23,9 @@ import sys
 import tempfile
 from typing import Optional, Sequence
 
-from . import analysis, codec, container
+# json, csv and .analysis are imported in the commands that use them, so a
+# file command does not load them
+from . import codec, container
 from .cipher import (
     KIND_NAMES,
     CipherGrid,
@@ -110,6 +110,8 @@ def _parse_block_arg(text: str) -> int:
 
 
 def _emit(args, payload: dict | list, csv_rows: Optional[list[dict]] = None) -> None:
+    import csv
+    import json
     if args.format == "csv":
         rows = csv_rows if csv_rows is not None else [payload]
         buf = io.StringIO()
@@ -139,7 +141,8 @@ def _cmd_encrypt(args) -> int:
     chain = _load_chain(args.key)
     payload = _read_file(args.infile)
     msg = codec.segment_message(payload)
-    grids = tuple(encrypt_block(b, chain) for b in msg.blocks)
+    # blocks are ECB-like: each distinct block is encrypted once per call
+    grids = tuple(map(functools.cache(lambda b: encrypt_block(b, chain)), msg.blocks))
     _write_file(args.out, container.write_cipher(container.CipherMessage(grids=grids, tail_bits=msg.tail_bits)))
     return 0
 
@@ -147,7 +150,9 @@ def _cmd_encrypt(args) -> int:
 def _cmd_decrypt(args) -> int:
     chain = _load_chain(args.key)
     msg = _read_cipher_for(args.infile, chain)
-    blocks = tuple(decrypt_block(g, chain) for g in msg.grids)
+    # each distinct grid is decrypted once per call; a grid that fails is
+    # not memoised, so the first bad block raises its own error
+    blocks = tuple(map(functools.cache(lambda g: decrypt_block(g, chain)), msg.grids))
     payload = codec.reassemble_message(codec.PaddedMessage(blocks=blocks, tail_bits=msg.tail_bits))
     _write_file(args.out, payload)
     return 0
@@ -219,13 +224,20 @@ def _cell_json(cell) -> str:
     return '          {\n            "kind": "%s"%s\n          }' % (KIND_NAMES[cell[0]], _CELL_JSON[cell[0]](cell))
 
 
+def _block_json(grid: CipherGrid) -> str:
+    rows = _ROW_BREAK.join(",\n".join(map(_cell_json, row)) for row in grid.rows())
+    return _BLOCK_JSON.format(*grid.orders, rows)
+
+
 def _write_inspect_json(msg: container.CipherMessage) -> None:
     write = sys.stdout.write
     write(f'{{\n  "sticky_rounds": {msg.sticky_rounds},\n  "tail_bits": {msg.tail_bits},\n  "blocks": [\n')
+    # A memo for this call: a block's text is about 2.8 KB, so it is bounded
+    # and the output never collects in memory.
+    block_json = functools.lru_cache(maxsize=64)(_block_json)
     separator = ""
     for g in msg.grids:
-        rows = _ROW_BREAK.join(",\n".join(map(_cell_json, row)) for row in g.rows())
-        write(separator + _BLOCK_JSON.format(*g.orders, rows))
+        write(separator + block_json(g))
         separator = ",\n"
     write("\n  ]\n}\n")
 
@@ -272,6 +284,7 @@ def _cmd_trace(args) -> int:
     rm, sm, tm = compress_block(block, asm.deltas, trace=steps)
     tm = [None if s is None else [PRIMES[s[0]], s[1]] for s in tm]
     if args.json:
+        import json
         payload = {
             "block": f"{block:08x}",
             "symbols": list(codec.block_to_symbols(block)),
@@ -304,6 +317,7 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_analyze_bruteforce(args) -> int:
+    from . import analysis
     if not 1 <= args.restricted_bits <= analysis.MAX_RESTRICTED_BITS:
         raise UsageError(
             f"--restricted-bits must be in [1, {analysis.MAX_RESTRICTED_BITS}], got {args.restricted_bits}"
@@ -327,6 +341,7 @@ def _cmd_analyze_bruteforce(args) -> int:
 
 
 def _cmd_analyze_compression(args) -> int:
+    from . import analysis
     if args.count < 1:
         raise UsageError(f"--count must be at least 1, got {args.count}")
     if not 0 <= args.stay <= 1:
@@ -344,6 +359,7 @@ def _cmd_analyze_compression(args) -> int:
 
 
 def _cmd_analyze_avalanche(args) -> int:
+    from . import analysis
     if args.samples < 100:
         raise UsageError(f"--samples must be at least 100, got {args.samples}")
     rng = random.Random(args.seed)

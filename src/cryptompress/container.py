@@ -151,7 +151,11 @@ def _encode_checked(cell: Cell) -> bytes:
         raw = _encode_cell(cell)
     except (IndexError, TypeError, ValueError, struct.error) as exc:
         raise MalformedCell(f"cell {cell!r} has no wire record: {exc}") from None
-    if _decode_cell(raw, 0) != (cell, len(raw)):
+    try:
+        back = _decode_cell(raw, 0)
+    except Truncated:  # an SM pair shorter than two values
+        back = None
+    if back != (cell, len(raw)):
         raise MalformedCell(f"cell {cell!r} does not read back as itself")
     return raw
 
@@ -191,7 +195,10 @@ def write_cipher(msg: CipherMessage) -> bytes:
         out.append((o[0] << 4) | o[1])
         out.append((o[2] << 4) | o[3])
         for cell in grid.cells:
-            raw = memo.get(cell)
+            try:
+                raw = memo.get(cell)
+            except TypeError:  # the reader only makes hashable cells
+                raise MalformedCell(f"cell {cell!r} does not read back as itself") from None
             if raw is None:
                 raw = memo[cell] = _encode_checked(cell)
             out += raw

@@ -372,6 +372,39 @@ def test_harden_matches_reference_rounds_at_every_depth():
         assert [cm.decrypt_block(g, grown) for g in hardened] == blocks
 
 
+def test_harden_memo_matches_a_per_grid_loop_and_takes_grids_that_hold_lists():
+    rng = random.Random(43)
+    chain = random_chain(rng, 2)
+    distinct = [cm.encrypt_block(rng.getrandbits(30), chain) for _ in range(3)]
+    grids = tuple(distinct[i] for i in (0, 1, 0, 2, 1, 0))
+    hardened, grown = cm.harden_message(grids, chain, random.Random(7))
+    assert hardened == tuple(cm.harden_message((g,), chain, random.Random(7))[0][0] for g in grids)
+    assert hardened == tuple(reference_harden(g, chain, grown.sticky[-1]) for g in grids)
+    # unhashable grids: a list of cells, and a sequence list held as a list
+    cells = list(grids[0].cells)
+    j = next(j for j, c in enumerate(cells) if c[0] == SM)
+    listed = [grids[0]._replace(cells=list(cells)), grids[0]._replace(cells=(*cells[:j], (SM, list(cells[j][1])), *cells[j + 1 :]))]
+    again, _ = cm.harden_message((*listed, grids[0], *listed), chain, random.Random(7))
+    assert again == (hardened[0],) * 5
+
+
+@pytest.mark.parametrize("edit", ["append_unknown_tag", "append_empty", "replace_with_unknown_tag"])
+def test_grid_with_a_cell_outside_the_inventory_is_an_inventory_fault(golden_chain, golden_block, edit):
+    """decrypt_block and harden_message refuse such a grid as an inventory
+    fault, also when its other cells are the 20 logical items."""
+    grid = cm.encrypt_block(golden_block, golden_chain)
+    cells = {
+        "append_unknown_tag": grid.cells + ((9,),),
+        "append_empty": grid.cells + ((EMPTY,),),
+        "replace_with_unknown_tag": grid.cells[:-1] + ((9,),),
+    }[edit]
+    bad = grid._replace(cells=cells)
+    with pytest.raises(InventoryMismatch):
+        cm.decrypt_block(bad, golden_chain)
+    with pytest.raises(InventoryMismatch):
+        cm.harden_message((bad,), golden_chain, random.Random(0))
+
+
 def test_sm_values_stay_nibbles_after_many_rounds(golden_chain, golden_block):
     rng = random.Random(31)
     grid = cm.encrypt_block(golden_block, golden_chain)

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import os
@@ -13,9 +14,9 @@ import pytest
 
 import cryptompress as cm
 from cryptompress import cli, container
-from cryptompress.cipher import SM
+from cryptompress.cipher import RM, SM
 from cryptompress.cli import main
-from cryptompress.errors import ValueOutOfRange
+from cryptompress.errors import IntegrityFailure, ValueOutOfRange
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -412,11 +413,79 @@ def test_readme_names_only_code_that_exists():
     assert unresolved == []
 
 
-def test_cli_import_loads_no_dataclasses():
-    """The CLI's records are NamedTuples, so importing it does not pull in
-    `dataclasses` (and through it inspect, ast, dis and tokenize)."""
-    code = "import sys; before = set(sys.modules); import cryptompress.cli; print('dataclasses' in set(sys.modules) - before)"
+def _loaded_by_cli_import(names) -> list[str]:
+    """Which of `names` a fresh interpreter newly loads on `import cryptompress.cli`."""
+    code = f"import sys; before = set(sys.modules); import cryptompress.cli; print(sorted({set(names)!r} & (set(sys.modules) - before)))"
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return ast.literal_eval(out.stdout)
+
+
+def test_cli_import_loads_no_dataclasses():
+    """The CLI's records are NamedTuples, so importing it does not pull in
+    `dataclasses` (and through it inspect, ast, dis and tokenize)."""
+    assert _loaded_by_cli_import(["dataclasses"]) == []
+
+
+def test_cli_import_loads_no_analysis_csv_or_json():
+    """The file commands need neither the analysis harness nor json or csv:
+    those load in the commands that use them."""
+    assert _loaded_by_cli_import(["cryptompress.analysis", "csv", "json"]) == []
+    assert cm.analysis is importlib.import_module("cryptompress.analysis")
+
+
+def _repeating_payload(rng) -> bytes:
+    """Zero runs between random bytes: most blocks repeat an earlier one."""
+    return bytes(60) + rng.randbytes(30) + bytes(60) + rng.randbytes(15) + bytes(45)
+
+
+def test_encrypt_and_decrypt_compute_each_distinct_block_once(tmp_path, golden_key_file, monkeypatch):
+    chain = container.read_key(Path(golden_key_file).read_bytes())
+    payload = _repeating_payload(random.Random(18))
+    msg = cm.segment_message(payload)
+    grids = tuple(cm.encrypt_block(b, chain) for b in msg.blocks)  # no memo
+    assert len(set(msg.blocks)) < len(msg.blocks) // 2
+    calls = {"encrypt": [], "decrypt": []}
+
+    def counting(name, fn):
+        def wrapper(arg, chain):
+            calls[name].append(arg)
+            return fn(arg, chain)
+        return wrapper
+
+    monkeypatch.setattr(cli, "encrypt_block", counting("encrypt", cli.encrypt_block))
+    monkeypatch.setattr(cli, "decrypt_block", counting("decrypt", cli.decrypt_block))
+    plain, cipher, out = tmp_path / "p.bin", tmp_path / "c.cmc", tmp_path / "o.bin"
+    plain.write_bytes(payload)
+    assert main(["encrypt", "--key", golden_key_file, "--in", str(plain), "--out", str(cipher)]) == 0
+    assert cipher.read_bytes() == container.write_cipher(container.CipherMessage(grids, msg.tail_bits))
+    assert sorted(calls["encrypt"]) == sorted(set(msg.blocks))
+    assert main(["decrypt", "--key", golden_key_file, "--in", str(cipher), "--out", str(out)]) == 0
+    assert out.read_bytes() == payload
+    assert sorted(calls["decrypt"]) == sorted(set(grids))
+
+
+def _bump_first_outcome(grid, by):
+    cells = list(grid.cells)
+    i = next(i for i, c in enumerate(cells) if c[0] == RM)
+    cells[i] = (RM, cells[i][1] + by)
+    return grid._replace(cells=tuple(cells))
+
+
+def test_decrypt_reports_the_first_bad_block_when_it_repeats(tmp_path, golden_key_file, capsys):
+    chain = container.read_key(Path(golden_key_file).read_bytes())
+    rng = random.Random(19)
+    grids = [cm.encrypt_block(rng.getrandbits(30), chain) for _ in range(4)]
+    first, second = _bump_first_outcome(grids[1], 1), _bump_first_outcome(grids[2], 5)
+    errors = []
+    for bad in (first, second):
+        with pytest.raises(IntegrityFailure) as exc:
+            cm.decrypt_block(bad, chain)
+        errors.append(str(exc.value))
+    assert errors[0] != errors[1]
+    cipher, out = tmp_path / "c.cmc", tmp_path / "o.bin"
+    cipher.write_bytes(container.write_cipher(container.CipherMessage((grids[0], first, second, first), 30)))
+    assert main(["decrypt", "--key", golden_key_file, "--in", str(cipher), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"integrity failure: {errors[0]}\n"
+    assert not out.exists()

@@ -233,6 +233,8 @@ WRITER_REFUSALS = {
     "19_cells": (_write_edited(lambda g: g._replace(cells=g.cells[:19])), InventoryMismatch),
     "20_empty_cells": (_write_edited(lambda g: g._replace(cells=((EMPTY,),) * 20)), InventoryMismatch),
     "sm_stray_byte": (_write_edited(_first_of(SM, (SM, ((1, 2, 3),)))), MalformedCell),
+    "sm_short_pair": (_write_edited(_first_of(SM, (SM, ((1,),)))), MalformedCell),
+    "sm_list_of_pairs": (_write_edited(_first_of(SM, (SM, [(1, 2)]))), MalformedCell),
     "unknown_tag": (_write_edited(_first_of(TM, (9,))), MalformedCell),
     "short_asm": (_write_edited(_first_of(ASM, (ASM, 1))), MalformedCell),
     "rm_over_int32": (_write_edited(_first_of(RM, (RM, 2**40))), MalformedCell),
