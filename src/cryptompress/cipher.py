@@ -18,7 +18,7 @@ a seal under nswap(word) with a swap.
 """
 
 import random
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import combinations
 from operator import itemgetter
 from typing import NamedTuple, Sequence
@@ -264,25 +264,14 @@ def harden_message(
     Each grid opens through decrypt's slot gate first and raises what it
     raises. Cell placement is untouched: the round, a swapping seal under
     nswap(word), rewrites the four sequence-list cells where they sit.
-    Each distinct grid is hardened once, through a memo that lives for
-    this call, so a grid equal to an earlier one gets that one's result; a
-    grid that cannot be a memo key (it holds a list) is hardened alone.
     """
     new_chain = extend_key(chain, rng)
     word = _nswap(new_chain.sticky[-1])
-
-    def harden(grid: CipherGrid) -> CipherGrid:
+    out = []
+    for grid in grids:
         key, c = _open_grid(grid, chain)
         cells = list(grid.cells)
         for i, j in enumerate(key.slots[SM_BASE : 4 * N_SLOTS]):
             cells[j] = (SM, seal_pairs(c[SM_BASE + i][1], word, True, i))
-        return grid._replace(cells=tuple(cells), sticky_rounds=grid.sticky_rounds + 1)
-
-    memo = cache(harden)
-    out = []
-    for grid in grids:
-        try:
-            out.append(memo(grid))
-        except TypeError:  # unhashable; a TypeError of harden's own raises again here
-            out.append(harden(grid))
+        out.append(grid._replace(cells=tuple(cells), sticky_rounds=grid.sticky_rounds + 1))
     return tuple(out), new_chain

@@ -64,8 +64,10 @@ def _write_file(path: str, data: bytes) -> None:
 
 def _replace_file(path: str, data: bytes) -> None:
     """Replace `path` atomically through a unique temp file beside it,
-    removed on failure; the directory is fsynced so the rename is durable."""
-    directory = os.path.dirname(os.path.abspath(path))
+    removed on failure; the directory is fsynced so the rename is durable.
+    A symlink is followed: its target is replaced and the link kept."""
+    path = os.path.realpath(path)
+    directory = os.path.dirname(path)
     fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory)
     try:
         with os.fdopen(fd, "wb") as fh:
@@ -161,7 +163,12 @@ def _cmd_decrypt(args) -> int:
 def _cmd_harden(args) -> int:
     chain = _load_chain(args.key)
     msg = _read_cipher_for(args.cipher, chain)
-    grids, new_chain = harden_message(msg.grids, chain)
+    # each distinct grid is hardened once per call, in first-seen order, so
+    # the first bad grid in the file still raises its own error
+    index: dict[CipherGrid, int] = {}
+    at = [index.setdefault(g, len(index)) for g in msg.grids]
+    hardened, new_chain = harden_message(tuple(index), chain)
+    grids = tuple(map(hardened.__getitem__, at))
     # Both files are encoded before either is replaced, so a write that
     # fails leaves both untouched. Key first: once the new sticky word is
     # durable the rewritten cipher is always recoverable; the reverse order

@@ -29,7 +29,6 @@ from .cipher import (
 from .errors import (
     BadMagic,
     BadVersion,
-    ContainerError,
     MalformedCell,
     RoundCountMismatch,
     Truncated,
@@ -242,8 +241,8 @@ def read_cipher(data: bytes) -> CipherMessage:
     its exact bytes map to its tuple through a memo that lives for this
     call: cells repeat heavily within a file (every block carries the same
     8 matrix strings), so each distinct cell is decoded once, and so is
-    each distinct tag string checked. A cell that fails is decoded again
-    in place, which raises its error with its file offset."""
+    each distinct tag string checked. A cell the memo misses is decoded in
+    place, so a bad cell raises its error with its file offset."""
     rounds, block_count, tail_bits = read_header(data)
     data = bytes(data)  # memo keys must hash, whatever bytes-like came in
     sizes = _WIRE_SIZES
@@ -257,23 +256,21 @@ def read_cipher(data: bytes) -> CipherMessage:
         a, b = data[pos], data[pos + 1]
         pos += 2
         cells = []
-        try:
-            for _ in range(N_CELLS):
+        for _ in range(N_CELLS):
+            try:
                 tag = data[pos]
                 end = pos + sizes[tag]
                 if tag == SM:
                     end += 2 * data[pos + 1]
-                raw = data[pos:end]
-                cell = memo.get(raw)
-                if cell is None:
-                    cell = memo[raw] = _decode_cell(raw, 0)[0]
-                cells.append(cell)
-                pos = end
-        except (IndexError, ContainerError):
-            # decode the bad cell again in the whole file: _decode_cell
-            # alone decides what a bad cell raises, and at which offset
-            _decode_cell(data, pos)
-            raise
+            except IndexError:  # an unknown tag or the end of the file: no memo key is empty
+                end = pos
+            raw = data[pos:end]
+            cell = memo.get(raw)
+            if cell is None:  # _decode_cell alone decides what a bad cell raises
+                cell, end = _decode_cell(data, pos)
+                memo[raw] = cell
+            cells.append(cell)
+            pos = end
         _check_tags(cells, valid_tags)
         grids.append(CipherGrid((a >> 4, a & 15, b >> 4, b & 15), tuple(cells), rounds))
     if pos != len(data):

@@ -13,8 +13,8 @@ from pathlib import Path
 import pytest
 
 import cryptompress as cm
-from cryptompress import cli, container
-from cryptompress.cipher import RM, SM
+from cryptompress import cipher, cli, container
+from cryptompress.cipher import ASM, RM, SM
 from cryptompress.cli import main
 from cryptompress.errors import IntegrityFailure, ValueOutOfRange
 
@@ -341,6 +341,29 @@ def test_failed_replace_leaves_files_and_no_temp(tmp_path, golden_key_file, monk
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
 
 
+def test_harden_replaces_the_targets_of_symlinked_files(tmp_path, golden_key_file):
+    """Both files given as relative links into another directory: the links
+    stay links, and their targets hold the hardened key and cipher."""
+    secrets = tmp_path / "secrets"
+    secrets.mkdir()
+    key, cipher_file = secrets / "real.cmk", secrets / "real.cmc"
+    shutil.copy(golden_key_file, key)
+    plain, out = tmp_path / "p.bin", tmp_path / "o.bin"
+    plain.write_bytes(b"sixteen byte msg")
+    assert main(["encrypt", "--key", str(key), "--in", str(plain), "--out", str(cipher_file)]) == 0
+    key_link, cipher_link = tmp_path / "link.cmk", tmp_path / "link.cmc"
+    key_link.symlink_to(Path("secrets", "real.cmk"))
+    cipher_link.symlink_to(Path("secrets", "real.cmc"))
+    assert main(["harden", "--key", str(key_link), "--cipher", str(cipher_link)]) == 0
+    assert key_link.is_symlink() and cipher_link.is_symlink()
+    assert len(key.read_bytes()) == 25
+    assert container.read_cipher(cipher_file.read_bytes()).sticky_rounds == 1
+    for k, c in ((key_link, cipher_link), (key, cipher_file)):
+        assert main(["decrypt", "--key", str(k), "--in", str(c), "--out", str(out)]) == 0
+        assert out.read_bytes() == plain.read_bytes()
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 def test_failed_cipher_encoding_leaves_key_and_cipher(tmp_path, golden_key_file, monkeypatch):
     """harden encodes both files before it replaces either, so a cipher
     that fails to encode leaves both files as they were."""
@@ -489,3 +512,60 @@ def test_decrypt_reports_the_first_bad_block_when_it_repeats(tmp_path, golden_ke
     assert main(["decrypt", "--key", golden_key_file, "--in", str(cipher), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"integrity failure: {errors[0]}\n"
     assert not out.exists()
+
+
+def test_harden_hardens_each_distinct_grid_once(tmp_path, golden_key_file, monkeypatch):
+    """harden passes each distinct grid once, in first-seen order, and
+    writes what hardening every grid under the same sticky word writes."""
+    chain = container.read_key(Path(golden_key_file).read_bytes())
+    plain, cipher_file = tmp_path / "p.bin", tmp_path / "c.cmc"
+    plain.write_bytes(_repeating_payload(random.Random(20)))
+    assert main(["encrypt", "--key", golden_key_file, "--in", str(plain), "--out", str(cipher_file)]) == 0
+    msg = container.read_cipher(cipher_file.read_bytes())
+    assert len(set(msg.grids)) < len(msg.grids) // 2
+    calls = []
+
+    def seeded(grids, chain):
+        calls.append(grids)
+        return cm.harden_message(grids, chain, random.Random(21))
+
+    monkeypatch.setattr(cli, "harden_message", seeded)
+    assert main(["harden", "--key", golden_key_file, "--cipher", str(cipher_file)]) == 0
+    assert calls == [tuple(dict.fromkeys(msg.grids))]
+    grids, grown = cm.harden_message(msg.grids, chain, random.Random(21))
+    assert cipher_file.read_bytes() == container.write_cipher(container.CipherMessage(grids, msg.tail_bits))
+    assert container.read_key(Path(golden_key_file).read_bytes()) == grown
+
+
+def _swap_first(grid, a, b):
+    """`grid` with its first cells of kinds a and b swapped: a slot fault."""
+    cells = list(grid.cells)
+    i, j = (next(i for i, c in enumerate(cells) if c[0] == tag) for tag in (a, b))
+    cells[i], cells[j] = cells[j], cells[i]
+    return grid._replace(cells=tuple(cells))
+
+
+def test_harden_reports_the_first_bad_grid_when_it_repeats(tmp_path, golden_key_file, capsys, monkeypatch):
+    chain = container.read_key(Path(golden_key_file).read_bytes())
+    rng = random.Random(22)
+    grids = [cm.encrypt_block(rng.getrandbits(30), chain) for _ in range(3)]
+    first, second = _swap_first(grids[1], ASM, SM), _swap_first(grids[2], ASM, RM)
+    with pytest.raises(IntegrityFailure) as exc:
+        cm.harden_message((first,), chain)
+    with pytest.raises(IntegrityFailure):
+        cm.harden_message((second,), chain)
+    cipher_file = tmp_path / "c.cmc"
+    cipher_file.write_bytes(container.write_cipher(container.CipherMessage((grids[0], first, second, first), 30)))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    opened = []
+    open_grid = cipher._open_grid
+
+    def recording(grid, chain):
+        opened.append(grid)
+        return open_grid(grid, chain)
+
+    monkeypatch.setattr(cipher, "_open_grid", recording)
+    assert main(["harden", "--key", golden_key_file, "--cipher", str(cipher_file)]) == 2
+    assert opened == [grids[0], first]
+    assert capsys.readouterr().err == f"integrity failure: {exc.value}\n"
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before

@@ -13,6 +13,7 @@ from cryptompress.errors import (
     InventoryMismatch,
     MalformedCell,
     RoundCountMismatch,
+    Truncated,
     ValueOutOfRange,
 )
 from cryptompress.keyschedule import KeyChain, extend_key
@@ -416,3 +417,46 @@ def test_fast_walk_fails_as_the_diagnoser_does(valid_files):
         data = rng.choice(valid_files[:40])
         data = mutate(data, *draw_mutation(rng, len(data)))
         assert _outcome(container.read_cipher, data) == _outcome(diagnose_cipher, data)
+
+
+def _read_counting_decodes(monkeypatch, data):
+    """read_cipher's outcome on `data` and how many times it called _decode_cell."""
+    calls = []
+    decode = container._decode_cell
+
+    def counting(*args):
+        calls.append(args)
+        return decode(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(container, "_decode_cell", counting)
+        outcome = _outcome(container.read_cipher, data)
+    return outcome, len(calls)
+
+
+def test_each_missed_cell_reaches_the_decoder_once(golden_chain, golden_block, monkeypatch):
+    """A valid file is decoded once per distinct cell; a bad cell in its
+    second block, never seen before, is decoded once and raises what the
+    diagnoser raises, offsets included."""
+    grid = cm.encrypt_block(golden_block, golden_chain)
+    msg = container.CipherMessage((grid, grid), 26)
+    data = container.write_cipher(msg)
+    distinct = len(set(grid.cells))
+    assert _read_counting_decodes(monkeypatch, data) == (msg, distinct)
+    # each cell's offset in the second block
+    pos = container.HEADER_BYTES + 2 + (len(data) - container.HEADER_BYTES) // 2
+    offsets = {}
+    for cell in grid.cells:
+        offsets.setdefault(cell[0], []).append(pos)
+        pos += len(container._encode_cell(cell))
+    asm = offsets[ASM][0]
+    bad_x_pos = data[: asm + 1] + bytes([7]) + data[asm + 2 :]
+    sm = max(p for p in offsets[SM] if data[p + 1])
+    cut_sm = data[: sm + 3]
+    expected = {
+        bad_x_pos: (MalformedCell, f"asm cell payload (7, {data[asm + 2]}) out of range"),
+        cut_sm: (Truncated, f"need {2 * data[sm + 1]} bytes at offset {sm + 2}, only 1 left"),
+    }
+    for bad, outcome in expected.items():
+        assert _outcome(diagnose_cipher, bad) == outcome
+        assert _read_counting_decodes(monkeypatch, bad) == (outcome, distinct + 1)
