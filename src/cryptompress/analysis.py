@@ -39,24 +39,13 @@ class BlockStats(NamedTuple):
 class RatioReport(NamedTuple):
     entries: list[BlockStats]
 
-    @property
-    def mean_events(self) -> float:
-        return sum(e.sm_events for e in self.entries) / len(self.entries)
-
-    @property
-    def mean_bits(self) -> float:
-        return sum(e.compressed_bits for e in self.entries) / len(self.entries)
-
-    @property
-    def mean_ratio(self) -> float:
-        return sum(e.ratio for e in self.entries) / len(self.entries)
-
     def to_dict(self) -> dict:
+        n = len(self.entries)
         return {
-            "blocks": len(self.entries),
-            "mean_events": self.mean_events,
-            "mean_bits": self.mean_bits,
-            "mean_ratio": self.mean_ratio,
+            "blocks": n,
+            "mean_events": sum(e.sm_events for e in self.entries) / n,
+            "mean_bits": sum(e.compressed_bits for e in self.entries) / n,
+            "mean_ratio": sum(e.ratio for e in self.entries) / n,
         }
 
 
@@ -200,11 +189,8 @@ def _grid_bytes(grid: CipherGrid) -> bytes:
 
 
 def _hamming(a: bytes, b: bytes) -> int:
-    if len(a) < len(b):
-        a = a + bytes(len(b) - len(a))
-    elif len(b) < len(a):
-        b = b + bytes(len(a) - len(b))
-    return sum(bin(x ^ y).count("1") for x, y in zip(a, b))
+    n = max(len(a), len(b))
+    return (int.from_bytes(a.ljust(n, b"\0"), "big") ^ int.from_bytes(b.ljust(n, b"\0"), "big")).bit_count()
 
 
 def avalanche_test(samples: int, chain: KeyChain, seed: int) -> AvalancheReport:

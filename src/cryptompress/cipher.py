@@ -81,9 +81,12 @@ _INVENTORY = {
 }
 
 
-def check_counts(counts: list[int]) -> None:
-    """Raise InventoryMismatch unless counts[tag], the number of cells with
-    each tag in one grid, make up the 20 logical items of a block."""
+def check_tags(tags: Sequence[int]) -> None:
+    """Raise InventoryMismatch unless one grid's cell tags make up the 20
+    logical items of a block, first for a tag that names no kind."""
+    counts = [tags.count(tag) for tag in range(N_KINDS)]
+    if sum(counts) != len(tags):
+        raise InventoryMismatch(f"cell tags {[t for t in tags if t not in range(N_KINDS)]} name no kind")
     if counts != _INVENTORY.get(counts[RM]):
         raise InventoryMismatch(
             "cell inventory is not a permutation of the 20 logical items: "
@@ -223,11 +226,7 @@ def _open_grid(grid: CipherGrid, chain: KeyChain) -> tuple[CompiledKey, list[Cel
     c = [cells[j] for j in key.slots] if len(cells) == N_CELLS else []
     heads = [cell[:2] for cell in c[: 2 * N_SLOTS]]
     if heads != _ASM_HEADS or tuple(map(_tag, c[2 * N_SLOTS :])) not in _DATA_TAGS:
-        tags = list(map(_tag, cells))  # an inventory fault outranks a slot fault
-        counts = [tags.count(tag) for tag in range(N_KINDS)]
-        if sum(counts) != len(tags):
-            raise InventoryMismatch(f"cell tags {[t for t in tags if t not in range(N_KINDS)]} name no kind")
-        check_counts(counts)
+        check_tags(list(map(_tag, cells)))  # an inventory fault outranks a slot fault
         raise IntegrityFailure("a slot holds the wrong kind, or a matrix string marks the wrong position")
     return key, c
 

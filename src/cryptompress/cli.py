@@ -209,9 +209,7 @@ _ROW_BREAK = "\n        ],\n        [\n"
 _MEMBER = ",\n" + " " * 12
 
 
-@functools.lru_cache(maxsize=256)  # one entry per pair of nibbles
-def _pair_json(pair: tuple[int, int]) -> str:
-    return "              [\n                %d,\n                %d\n              ]" % pair
+_PAIR_JSON = "              [\n                %d,\n                %d\n              ]"
 
 
 # Each cell's members after "kind" in `inspect --json`, by tag.
@@ -219,7 +217,7 @@ _CELL_JSON = (
     lambda c: "",
     lambda c: f'{_MEMBER}"x_pos": {c[1]}{_MEMBER}"sign_mask": {c[2]}{_MEMBER}"text": "{_asm_text(c)}"',
     lambda c: f'{_MEMBER}"value": {c[1]}',
-    lambda c: _MEMBER + '"pairs": ' + ("[\n" + ",\n".join(map(_pair_json, c[1])) + "\n            ]" if c[1] else "[]"),
+    lambda c: _MEMBER + '"pairs": ' + ("[\n" + ",\n".join([_PAIR_JSON % pair for pair in c[1]]) + "\n            ]" if c[1] else "[]"),
     lambda c: f'{_MEMBER}"prime": {PRIMES[c[1]]}{_MEMBER}"last_seq": {c[2]}',
 )
 
@@ -390,17 +388,12 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_keygen)
 
-    p = sub.add_parser("encrypt", help="encrypt a file")
-    p.add_argument("--key", required=True)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_encrypt)
-
-    p = sub.add_parser("decrypt", help="decrypt a file")
-    p.add_argument("--key", required=True)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_decrypt)
+    files = _Parser(add_help=False)
+    files.add_argument("--key", required=True)
+    files.add_argument("--in", dest="infile", required=True)
+    files.add_argument("--out", required=True)
+    sub.add_parser("encrypt", parents=[files], help="encrypt a file").set_defaults(func=_cmd_encrypt)
+    sub.add_parser("decrypt", parents=[files], help="decrypt a file").set_defaults(func=_cmd_decrypt)
 
     p = sub.add_parser("harden", help="apply one sticky round to key and cipher files")
     p.add_argument("--key", required=True)

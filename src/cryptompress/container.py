@@ -23,7 +23,7 @@ from .cipher import (
     SM,
     Cell,
     CipherGrid,
-    check_counts,
+    check_tags,
     data_cells,
 )
 from .errors import (
@@ -160,11 +160,11 @@ def _encode_checked(cell: Cell) -> bytes:
 
 
 def _check_tags(cells: Sequence[Cell], valid: set[bytes]) -> None:
-    """check_counts on one grid's tag string, unless `valid`, the strings
+    """check_tags on one grid's tag string, unless `valid`, the strings
     that passed before, holds it; the writer and the reader share it."""
     tags = bytes(map(itemgetter(0), cells))
     if tags not in valid:
-        check_counts([tags.count(tag) for tag in range(N_KINDS)])
+        check_tags(tags)
         valid.add(tags)
 
 

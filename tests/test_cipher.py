@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cryptompress as cm
+from cryptompress import cipher
 from cryptompress.cipher import (
     ASM,
     EMPTY,
@@ -12,6 +13,7 @@ from cryptompress.cipher import (
     SM_BASE,
     TM,
     CipherGrid,
+    check_tags,
     compile_key,
     data_cells,
     seal_pairs,
@@ -217,6 +219,50 @@ def test_scramble_rejects_bad_inventory():
         scramble(tuple(cells), slots)
 
 
+def _is_inventory(tags) -> bool:
+    """Oracle: 20 tags, all kinds, sorting to the 8 matrix strings plus
+    one of the data-slot patterns."""
+    return (
+        len(tags) == 20
+        and set(tags) <= set(range(5))
+        and any(sorted(tags) == sorted((ASM,) * 8 + p) for p in cipher._DATA_TAGS)
+    )
+
+
+def test_check_tags_passes_exactly_the_tag_strings_the_oracle_passes():
+    rng = random.Random(44)
+    strings = []
+    for p in sorted(cipher._DATA_TAGS):
+        tags = [ASM] * 8 + list(p)
+        rng.shuffle(tags)
+        strings.append(tags)
+        for _ in range(5):  # one-tag edits: most break the inventory, a few keep it
+            edited = list(tags)
+            edited[rng.randrange(20)] = rng.randrange(5)
+            strings.append(edited)
+        strings.append(tags[:-1])
+        strings.append(tags + [rng.randrange(5)])
+    verdicts = []
+    for tags in strings:
+        want = _is_inventory(tags)
+        verdicts.append(want)
+        for form in (list(tags), bytes(tags)):
+            if want:
+                check_tags(form)
+            else:
+                with pytest.raises(InventoryMismatch):
+                    check_tags(form)
+    assert verdicts.count(True) > len(cipher._DATA_TAGS) and verdicts.count(False) > 2 * len(cipher._DATA_TAGS)
+
+
+@pytest.mark.parametrize("form", [list, bytes])
+def test_check_tags_names_a_tag_outside_the_kinds(form):
+    tags = [ASM] * 8 + list(min(cipher._DATA_TAGS))
+    tags[3] = 9
+    with pytest.raises(InventoryMismatch, match=r"\[9\]"):
+        check_tags(form(tags))
+
+
 def test_encrypt_block_unscrambles_to_published_tables(golden, golden_chain, golden_block):
     grid = cm.encrypt_block(golden_block, golden_chain)
     assert grid.orders == tuple(golden["orders"])
@@ -372,7 +418,7 @@ def test_harden_matches_reference_rounds_at_every_depth():
         assert [cm.decrypt_block(g, grown) for g in hardened] == blocks
 
 
-def test_harden_memo_matches_a_per_grid_loop_and_takes_grids_that_hold_lists():
+def test_harden_of_repeated_and_list_holding_grids_matches_one_grid_at_a_time():
     rng = random.Random(43)
     chain = random_chain(rng, 2)
     distinct = [cm.encrypt_block(rng.getrandbits(30), chain) for _ in range(3)]
@@ -380,7 +426,8 @@ def test_harden_memo_matches_a_per_grid_loop_and_takes_grids_that_hold_lists():
     hardened, grown = cm.harden_message(grids, chain, random.Random(7))
     assert hardened == tuple(cm.harden_message((g,), chain, random.Random(7))[0][0] for g in grids)
     assert hardened == tuple(reference_harden(g, chain, grown.sticky[-1]) for g in grids)
-    # unhashable grids: a list of cells, and a sequence list held as a list
+    # grids that hold lists, of cells or of one prime's sequence pairs,
+    # harden as the same grid held in tuples does
     cells = list(grids[0].cells)
     j = next(j for j, c in enumerate(cells) if c[0] == SM)
     listed = [grids[0]._replace(cells=list(cells)), grids[0]._replace(cells=(*cells[:j], (SM, list(cells[j][1])), *cells[j + 1 :]))]

@@ -393,6 +393,21 @@ def test_analyze_help_lists_the_shared_flags(sub, capsys):
         assert flag in text
 
 
+@pytest.mark.parametrize("sub", ["encrypt", "decrypt"])
+def test_file_command_help_lists_the_shared_file_flags(sub, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([sub, "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    for flag in ("--key", "--in", "--out"):
+        assert flag in text
+
+
+def test_decrypt_without_out_is_a_usage_error(tmp_path, capsys):
+    assert main(["decrypt", "--key", str(tmp_path / "k"), "--in", str(tmp_path / "c")]) == 1
+    assert "--out" in capsys.readouterr().err
+
+
 def test_readme_analyze_synopsis_shows_the_parser_defaults():
     """Every `[--flag NUMBER]` in the README's `cryptompress analyze`
     synopsis lines is the default the parser gives that flag."""

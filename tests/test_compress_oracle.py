@@ -21,12 +21,11 @@ from cryptompress import analysis, codec
 from cryptompress.cipher import (
     EMPTY,
     N_CELLS,
-    N_KINDS,
     RM,
     SM,
     TM,
     CipherGrid,
-    check_counts,
+    check_tags,
     compile_key,
     decrypt_block,
     encrypt_block,
@@ -150,8 +149,7 @@ def reference_data_cells(cb: PrimeBlock, key) -> tuple:
 
 def check_items(cells):
     """Raise InventoryMismatch unless `cells` are the 20 logical items."""
-    tags = [c[0] for c in cells]
-    check_counts([tags.count(tag) for tag in range(N_KINDS)])
+    check_tags([c[0] for c in cells])
 
 
 def scramble(cells, slots):

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import cryptompress as cm
 from cryptompress import container
-from cryptompress.cipher import ASM, EMPTY, N_CELLS, N_KINDS, RM, SM, TM, CipherGrid, check_counts
+from cryptompress.cipher import ASM, EMPTY, N_CELLS, RM, SM, TM, CipherGrid, check_tags
 from cryptompress.errors import (
     BadMagic,
     BadVersion,
@@ -335,13 +335,11 @@ def diagnose_cipher(data):
             raise container._truncated(data, pos, 2)
         a, b = data[pos], data[pos + 1]
         pos += 2
-        counts = [0] * N_KINDS
         cells = []
         for _ in range(N_CELLS):
             cell, pos = container._decode_cell(data, pos)
-            counts[cell[0]] += 1
             cells.append(cell)
-        check_counts(counts)
+        check_tags([cell[0] for cell in cells])
         grids.append(CipherGrid((a >> 4, a & 15, b >> 4, b & 15), tuple(cells), rounds))
     if pos != len(data):
         raise MalformedCell(f"{len(data) - pos} trailing bytes after last block")
