@@ -209,9 +209,9 @@ _tag = itemgetter(0)
 
 
 def _open_grid(grid: CipherGrid, chain: KeyChain) -> tuple[CompiledKey, list[Cell]]:
-    """The slot gate of decrypt and harden: the compiled key and the
-    grid's 20 logical cells, kind-major, once the round count, the cell
-    count and every slot's kind hold. The clear orders and the matrix
+    """The slot gate of decrypt and harden: the compiled key and a new
+    list of the grid's 20 logical cells, kind-major, once the round count,
+    the cell count and every slot's kind hold. The clear orders and the matrix
     strings' sign masks are not compared with the key.
 
     Raises, first match wins: RoundCountMismatch when the chain's sticky
@@ -261,16 +261,15 @@ def harden_message(
     key and rewrite the sequence portion of every block's ciphertext.
 
     Each grid opens through decrypt's slot gate first and raises what it
-    raises. Cell placement is untouched: the round, a swapping seal under
-    nswap(word), rewrites the four sequence-list cells where they sit.
+    raises. The round, a swapping seal under nswap(word), rewrites the four
+    logical sequence-list cells; encrypt_block's layout puts them on the wire.
     """
     new_chain = extend_key(chain, rng)
     word = _nswap(new_chain.sticky[-1])
     out = []
     for grid in grids:
         key, c = _open_grid(grid, chain)
-        cells = list(grid.cells)
-        for i, j in enumerate(key.slots[SM_BASE : 4 * N_SLOTS]):
-            cells[j] = (SM, seal_pairs(c[SM_BASE + i][1], word, True, i))
-        out.append(grid._replace(cells=tuple(cells), sticky_rounds=grid.sticky_rounds + 1))
+        for i in range(N_SLOTS):
+            c[SM_BASE + i] = (SM, seal_pairs(c[SM_BASE + i][1], word, True, i))
+        out.append(CipherGrid(grid.orders, tuple(map(c.__getitem__, key.at)), grid.sticky_rounds + 1))
     return tuple(out), new_chain

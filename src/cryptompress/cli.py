@@ -351,14 +351,11 @@ def _cmd_analyze_compression(args) -> int:
         raise UsageError(f"--count must be at least 1, got {args.count}")
     if not 0 <= args.stay <= 1:
         raise UsageError(f"--stay must be in [0, 1], got {args.stay}")
-    rng = random.Random(args.seed)
-    chain = KeyChain(base=generate_key(rng))
-    asm, _ = derive_material(chain.base)
     if args.biased:
         blocks = analysis.biased_blocks(args.count, args.seed, args.stay)
     else:
         blocks = analysis.random_blocks(args.count, args.seed)
-    report = analysis.compression_stats(blocks, asm)
+    report = analysis.compression_stats(blocks)
     _emit(args, report.to_dict(), [e._asdict() for e in report.entries])
     return 0
 

@@ -19,6 +19,8 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 from .codec import BLOCK_BITS, PRIME_INDEX, PRIMES, SHIFTS, SYMBOLS_PER_BLOCK
 from .errors import IntegrityFailure, ValueOutOfRange, WrongLength
 
+_END = -1  # ends every residual walk; no prime index equals it
+
 
 # typing.NamedTuple forbids overriding __new__ in the class body, so the
 # range check lives in a subclass of this one-field record.
@@ -95,28 +97,25 @@ def compress_block(
         value = p
         seq = run = 0
         kept = []
+        residual.append(_END)
         for c in residual[1:]:
             if c == t:
                 run += 1
                 continue
-            if run:  # a run ends where a crossing starts
+            if run:  # a run ends where a crossing or the right end starts
                 seq += 1
                 value += run * p
                 events.append((seq, run))
                 if trace is not None:
                     trace.append(TraceStep(p, seq, "absorb", run, value))
                 run = 0
+            if c == _END:
+                break
             seq += 1
             value += row[c]
             kept.append(c)
             if trace is not None:
                 trace.append(TraceStep(p, seq, "cross", PRIMES[c], value))
-        if run:
-            seq += 1
-            value += run * p
-            events.append((seq, run))
-            if trace is not None:
-                trace.append(TraceStep(p, seq, "absorb", run, value))
         rm[t] = value
         processed.append((t, seq))
         residual = kept

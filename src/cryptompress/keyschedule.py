@@ -75,8 +75,7 @@ class KeyChain(NamedTuple):
 def derive_material(base: BaseKey) -> tuple[AddSubMatrix, tuple[int, ...]]:
     """Split a base key into its Add-Sub Matrix and its 20 placement
     nibbles in scramble cycle order: asm rows, asm columns, rm, sm, tm,
-    four each. The XOR word's eight subkey nibbles are
-    sticky_nibbles(base.xor_word)."""
+    four each."""
     words = ((base.asm_key >> 16) & 0xFFFF, base.asm_key & 0xFFFF, base.rm_key, base.sm_key >> 32, base.tm_key)
     return AddSubMatrix(base.orders), tuple(n for w in words for n in _nibbles16(w))
 
@@ -104,8 +103,3 @@ def extend_key(chain: KeyChain, rng: random.Random | None = None) -> KeyChain:
     if rng is None:
         rng = random.SystemRandom()
     return KeyChain(base=chain.base, sticky=chain.sticky + (_draw_bits(rng, STICKY_BITS),))
-
-
-def sticky_nibbles(word: int) -> tuple[int, ...]:
-    """Split a 32-bit sticky key into its eight subkey nibbles, MSB-first."""
-    return tuple((word >> (28 - 4 * i)) & 15 for i in range(8))

@@ -23,9 +23,9 @@ from cryptompress.keyschedule import (
     derive_material,
     extend_key,
     generate_key,
-    sticky_nibbles,
 )
 from test_compress_oracle import scramble, unscramble
+from test_keyschedule import sticky_nibbles
 
 PRIMES = (2, 3, 5, 7)
 

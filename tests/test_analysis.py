@@ -3,7 +3,7 @@ import random
 import pytest
 
 import cryptompress as cm
-from cryptompress import analysis
+from cryptompress import analysis, container
 from cryptompress.errors import EmptyInput, InvalidKeyspace
 from cryptompress.keyschedule import KeyChain, derive_material, generate_key
 
@@ -25,6 +25,14 @@ def test_exhaustive_search_succeeds_without_hardening():
     assert report.success
     assert report.attempts_made <= 256
     assert report.hardenings_triggered == 0
+
+
+def test_one_restricted_bit_is_the_smallest_keyspace():
+    chain, block, grid = demo_setup(0)
+    report = analysis.bruteforce_demo(grid, chain, block, 1, 0, seed=0)
+    assert report.keyspace_bits == 1
+    assert report.success
+    assert report.attempts_made <= 2
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -105,24 +113,21 @@ def test_negative_harden_every_is_rejected():
         analysis.bruteforce_demo(grid, chain, block, 4, -1, seed=4)
 
 
-def test_compression_stats_of_no_blocks_is_empty_input(golden_chain):
-    asm, _ = derive_material(golden_chain.base)
+def test_compression_stats_of_no_blocks_is_empty_input():
     with pytest.raises(EmptyInput):
-        analysis.compression_stats([], asm)
+        analysis.compression_stats([])
 
 
-def test_all_zero_block_has_one_event(golden_chain):
-    asm, _ = derive_material(golden_chain.base)
-    report = analysis.compression_stats([0], asm)
+def test_all_zero_block_has_one_event():
+    report = analysis.compression_stats([0])
     assert report.entries[0].sm_events == 1
 
 
-def test_alternating_block_event_total(golden_chain):
+def test_alternating_block_event_total():
     # 2,3,2,3,...,2: seven isolated absorptions for the 2s, one run of 3s
-    asm, _ = derive_material(golden_chain.base)
     block = cm.symbols_to_block([2, 3] * 7 + [2])
     assert block == 0x04444444
-    report = analysis.compression_stats([block], asm)
+    report = analysis.compression_stats([block])
     assert report.entries[0].sm_events == 8
     assert report.entries[0].sm_events < report.entries[0].symbols
 
@@ -131,7 +136,7 @@ def test_stats_respect_conservation(golden_chain):
     asm, _ = derive_material(golden_chain.base)
     rng = random.Random(6)
     blocks = [rng.getrandbits(30) for _ in range(200)]
-    report = analysis.compression_stats(blocks, asm)
+    report = analysis.compression_stats(blocks)
     for block, entry in zip(blocks, report.entries):
         cb = cm.compress_block(block, asm.deltas)
         consumed = sum(
@@ -141,12 +146,14 @@ def test_stats_respect_conservation(golden_chain):
         )
         assert consumed == 15
         assert 1 <= entry.sm_events <= 14
+        # the stats take no key, and match the golden key's compression
+        assert entry.sm_events == sum(map(len, cb.sm.values()))
+        assert entry.compressed_bits == container.compressed_size_bits(cb)
 
 
-def test_random_blocks_have_more_events_than_biased(golden_chain):
-    asm, _ = derive_material(golden_chain.base)
-    plain = analysis.compression_stats(analysis.random_blocks(1000, 1), asm)
-    biased = analysis.compression_stats(analysis.biased_blocks(1000, 2), asm)
+def test_random_blocks_have_more_events_than_biased():
+    plain = analysis.compression_stats(analysis.random_blocks(1000, 1))
+    biased = analysis.compression_stats(analysis.biased_blocks(1000, 2))
     assert plain.to_dict()["mean_events"] > biased.to_dict()["mean_events"]
 
 

@@ -25,9 +25,10 @@ from cryptompress.errors import (
     RoundCountMismatch,
     ValueOutOfRange,
 )
-from cryptompress.keyschedule import BaseKey, KeyChain, extend_key, generate_key, sticky_nibbles
+from cryptompress.keyschedule import BaseKey, KeyChain, extend_key, generate_key
 from test_compress_oracle import SequenceEvent, scramble, unscramble
 from test_decrypt_oracle import open_pairs
+from test_keyschedule import sticky_nibbles
 
 PRIMES = (2, 3, 5, 7)
 st_orders = st.tuples(*[st.integers(0, 15)] * 4)

@@ -247,15 +247,28 @@ def test_missing_and_malformed_files_exit_3(tmp_path, golden_key_file):
     assert main(["encrypt", "--key", golden_key_file, "--in", str(empty), "--out", str(tmp_path / "c")]) == 3
 
 
-def test_analyze_bruteforce_small(tmp_path, capsys):
+@pytest.mark.parametrize("bits", [1, 8])
+def test_analyze_bruteforce_small(bits, capsys):
     rc = main([
         "analyze", "bruteforce",
-        "--restricted-bits", "8", "--harden-every", "0", "--seed", "1",
+        "--restricted-bits", str(bits), "--harden-every", "0", "--seed", "1",
     ])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["baseline"]["success"] is True
-    assert payload["baseline"]["attempts_made"] <= 256
+    assert payload["baseline"]["keyspace_bits"] == bits
+    assert payload["baseline"]["attempts_made"] <= 1 << bits
+
+
+@pytest.mark.parametrize("flags", [[], ["--biased"]])
+def test_analyze_compression_draws_no_key(flags, monkeypatch, capsys):
+    def no_key(*args):
+        raise AssertionError("analyze compression drew key material")
+
+    monkeypatch.setattr(cli, "generate_key", no_key)
+    monkeypatch.setattr(cli, "derive_material", no_key)
+    assert main(["analyze", "compression", "--count", "50", "--seed", "0", *flags]) == 0
+    assert json.loads(capsys.readouterr().out)["blocks"] == 50
 
 
 def test_analyze_compression_csv(tmp_path):

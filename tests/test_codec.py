@@ -203,6 +203,7 @@ def test_chunked_codec_matches_bit_reference():
         ((1 << 30, 0, 0, 0), 30, WrongLength),
         ((0, 0, 0, 1 << 30), 30, WrongLength),
         ((0,), 30, WrongLength),
+        ((0,), 1, WrongLength),
     ],
 )
 def test_reassemble_guards_in_order(blocks, tail_bits, error):

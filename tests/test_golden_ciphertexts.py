@@ -135,6 +135,7 @@ def _generate() -> dict:
 
 
 if __name__ == "__main__":
+    lock = _generate()
     with open(FIXTURE, "w") as fh:
-        json.dump(_generate(), fh, indent=1)
+        json.dump(lock, fh, indent=1)
         fh.write("\n")

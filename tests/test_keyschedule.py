@@ -12,7 +12,6 @@ from cryptompress.keyschedule import (
     derive_material,
     extend_key,
     generate_key,
-    sticky_nibbles,
 )
 
 # The placement nibble groups in scramble cycle order, four nibbles each.
@@ -20,6 +19,12 @@ PLACEMENT_KINDS = ("asmh", "asmv", "rm", "sm", "tm")
 
 # chi-square critical value, 15 degrees of freedom, p = 0.001
 CHI2_CRIT = 37.697
+
+
+def sticky_nibbles(word):
+    """Reference split of a 32-bit XOR or sticky word into its eight subkey
+    nibbles, MSB-first: one (S, R) pair per prime (2,3,5,7)."""
+    return tuple((word >> (28 - 4 * i)) & 15 for i in range(8))
 
 
 def test_parse_golden_key(golden):
@@ -181,7 +186,3 @@ def test_entropy_unavailable():
     with pytest.raises(EntropyUnavailable):
         extend_key(KeyChain(base=generate_key(random.Random(0))), _BrokenRng())
 
-
-def test_sticky_nibbles_msb_first():
-    assert sticky_nibbles(0x12345678) == (1, 2, 3, 4, 5, 6, 7, 8)
-    assert sticky_nibbles(0xF0000001) == (15, 0, 0, 0, 0, 0, 0, 1)
