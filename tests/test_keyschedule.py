@@ -185,4 +185,3 @@ def test_entropy_unavailable():
         generate_key(_BrokenRng())
     with pytest.raises(EntropyUnavailable):
         extend_key(KeyChain(base=generate_key(random.Random(0))), _BrokenRng())
-
