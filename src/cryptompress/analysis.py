@@ -12,11 +12,11 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import codec
-from .cipher import CipherGrid, decrypt_block, encrypt_block, harden_message
+from .cipher import CipherGrid, _open_grid, check_rounds, compile_key, encrypt_block, fold_mask, harden_message, unseal_block
 from .container import compressed_size_bits, write_cipher, CipherMessage
 from .engine import compress_block
 from .errors import CryptompressError, EmptyInput, InvalidKeyspace, ValueOutOfRange
-from .keyschedule import BaseKey, KeyChain
+from .keyschedule import KeyChain
 
 MAX_RESTRICTED_BITS = 24
 
@@ -66,13 +66,6 @@ def demo_block(rng: random.Random) -> int:
             return block
 
 
-def _candidate_chain(base: BaseKey, low_bits: int, value: int, sticky: tuple[int, ...]) -> KeyChain:
-    """The true base key with its lowest `low_bits` bits replaced; with at
-    most MAX_RESTRICTED_BITS of them, only the SM key changes."""
-    sm_key = (base.sm_key >> low_bits << low_bits) | value
-    return KeyChain(BaseKey(base.asm_key, base.rm_key, base.tm_key, sm_key), sticky)
-
-
 @lru_cache(maxsize=1)
 def _sweep_order(restricted_bits: int, seed: int) -> tuple[tuple[int, ...], tuple]:
     """The seed-shuffled candidate order and the rng state after the
@@ -101,8 +94,11 @@ def bruteforce_demo(
     failure (0 = never) triggers hardening, which rewrites the sequence
     cells and grows the chain, so every later attempt, the true base key
     included, dies on the round-count check. The report then shows a full
-    unsuccessful sweep: the restart cost hardening imposes.
-    """
+    unsuccessful sweep: the restart cost hardening imposes. The slot gate
+    and the key structure read no bit of the XOR word, the demo's whole
+    keyspace, so the live grid opened under `chain` is what any candidate's
+    chain opens; a candidate then costs the round check and unseal_block
+    under its own mask."""
     if not 1 <= restricted_bits <= MAX_RESTRICTED_BITS:
         raise InvalidKeyspace(f"restricted_bits must be in [1, {MAX_RESTRICTED_BITS}], got {restricted_bits}")
     if harden_every < 0:
@@ -111,16 +107,20 @@ def bruteforce_demo(
     rng = random.Random()
     rng.setstate(state)
     start = time.perf_counter()  # after the shuffle, which the paired sweeps share
-    stale_sticky = chain.sticky
+    key = compile_key(chain)
+    high = chain.base.xor_word >> restricted_bits << restricted_bits
     live_grid, live_chain = grid, chain
+    cells = None  # the live grid's logical cells, once a candidate opens it
     attempts = 0
     failures = 0
     success = False
     for value in order:
-        candidate = _candidate_chain(chain.base, restricted_bits, value, stale_sticky)
         attempts += 1
         try:
-            hit = decrypt_block(live_grid, candidate) == known_block
+            check_rounds(live_grid.sticky_rounds, chain)
+            if cells is None:
+                cells = _open_grid(live_grid, chain)[1]
+            hit = unseal_block(key._replace(mask=fold_mask(high | value, chain.sticky)), cells) == known_block
         except CryptompressError:
             hit = False
         if hit:
@@ -129,6 +129,7 @@ def bruteforce_demo(
         failures += 1
         if harden_every and failures % harden_every == 0:
             (live_grid,), live_chain = harden_message((live_grid,), live_chain, rng)
+            cells = None
     return AttackReport(
         keyspace_bits=restricted_bits,
         attempts_made=attempts,

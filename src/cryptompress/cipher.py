@@ -10,11 +10,11 @@ term pair.
 A key chain is compiled once (compile_key). Each sticky round maps a
 stored (S, R) pair to (R xor k_r, S xor k_s), so the base XOR and every
 sticky round compose into one 32-bit mask plus a swap when the chain's
-depth is odd, and the 20 swaps of the scramble into one slot table; the
-rest of the key is built once per base key structure. seal_pairs is the
-one place the SM layer touches pairs: encrypt seals under (mask, swap),
-decrypt under nswap(mask) when the chain swaps, and a hardening round is
-a seal under nswap(word) with a swap.
+depth is odd, and the 20 swaps of the scramble into one slot table,
+which reads no bit of the XOR word. seal_pairs is the one place the SM
+layer touches pairs: encrypt seals under (mask, swap), decrypt under
+nswap(mask) when the chain swaps, and a hardening round is a seal under
+nswap(word) with a swap.
 """
 
 import random
@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 from .codec import PRIMES
 from .engine import AddSubMatrix, CompressedBlock, compress_block, decompress_block
 from .errors import IntegrityFailure, InventoryMismatch, RoundCountMismatch, ValueOutOfRange
-from .keyschedule import BaseKey, KeyChain, derive_material, extend_key
+from .keyschedule import KeyChain, derive_material, extend_key
 
 N_KINDS = 5
 N_SLOTS = 4
@@ -108,7 +108,7 @@ class CompiledKey(NamedTuple):
 
     `deltas` is the Add-Sub Matrix as a table by prime index, `asm_cells`
     its 8 matrix-string cells, `slots[i]` the wire position of logical cell
-    i (kind*4 + slot) and `at` its inverse; these and `asm` are shared by
+    i (kind*4 + slot) and `at` its inverse; these and `asm` are equal for
     every chain with the same base key outside its XOR word. `mask` holds
     one byte per prime (2,3,5,7 from the MSB), S nibble high: a stored pair
     is the plain pair, swapped when `swap`, XORed with its prime's byte."""
@@ -145,31 +145,25 @@ def _slot_tables(nibbles: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, 
     return tuple(slots), tuple(at)
 
 
-@lru_cache(maxsize=1)
-def _structure(asm_key: int, rm_key: int, tm_key: int, sm_arrangement: int) -> tuple:
-    """The key's structure (asm, deltas, asm_cells, slots, at), memoised on
-    the only key words it reads. Every brute-force candidate, which differs
-    from the true key in the XOR word only, and every chain grown from one
-    base key share it, so one entry serves; compile_key's own cache covers
-    chains that alternate. The 8 matrix-string cells are the order nibbles
-    as rows, then the transposed bit matrix as columns."""
-    asm, nibbles = derive_material(BaseKey(asm_key, rm_key, tm_key, sm_arrangement << 32))
-    orders = asm.orders
-    columns = [sum(((orders[t] >> (3 - c)) & 1) << (3 - t) for t in range(4)) for c in range(4)]
-    asm_cells = tuple((ASM, i % 4, m) for i, m in enumerate(orders + tuple(columns)))
-    return asm, asm.deltas, asm_cells, *_slot_tables(nibbles)
+def fold_mask(xor_word: int, sticky: tuple[int, ...]) -> int:
+    """Fold a base XOR word and the sticky words, oldest first, into one
+    mask: m = xor_word; m = nswap(m ^ w) per word."""
+    for word in sticky:
+        xor_word = _nswap(xor_word ^ word)
+    return xor_word
 
 
 @lru_cache(maxsize=64)
 def compile_key(chain: KeyChain) -> CompiledKey:
-    """Fold the base XOR word and the sticky words, oldest first, into one
-    mask: m = base; m = nswap(m ^ w) per word."""
+    """A chain's key material, derived once. The 8 matrix-string cells are
+    the order nibbles as rows, then the transposed bit matrix as columns."""
     base, sticky = chain
-    mask = base.xor_word
-    for word in sticky:
-        mask = _nswap(mask ^ word)
+    asm, nibbles = derive_material(base)
+    orders = asm.orders
+    columns = [sum(((orders[t] >> (3 - c)) & 1) << (3 - t) for t in range(4)) for c in range(4)]
+    asm_cells = tuple((ASM, i % 4, m) for i, m in enumerate(orders + tuple(columns)))
     return CompiledKey(
-        *_structure(base.asm_key, base.rm_key, base.tm_key, base.sm_key >> 32), mask, len(sticky) % 2 == 1
+        asm, asm.deltas, asm_cells, *_slot_tables(nibbles), fold_mask(base.xor_word, sticky), len(sticky) % 2 == 1
     )
 
 
@@ -231,15 +225,12 @@ def _open_grid(grid: CipherGrid, chain: KeyChain) -> tuple[CompiledKey, list[Cel
     return key, c
 
 
-def decrypt_block(grid: CipherGrid, chain: KeyChain) -> int:
-    """Invert encrypt_block in one pass: open the grid through the slot
-    gate, unmask the sequence pairs and rebuild the block.
-
-    Raises, first match wins: whatever _open_grid raises; ValueOutOfRange
-    when an in-memory sequence pair does not fit a nibble; IntegrityFailure
-    when the rebuild or the RM checksum fails.
-    """
-    key, c = _open_grid(grid, chain)
+def unseal_block(key: CompiledKey, c: list[Cell]) -> int:
+    """decrypt_block's body: unmask the sequence pairs of the logical cells
+    _open_grid returns and rebuild the block. Raises, first match wins:
+    IntegrityFailure when a term cell names no prime; ValueOutOfRange when
+    an in-memory sequence pair does not fit a nibble; IntegrityFailure when
+    the rebuild or the RM checksum fails."""
     rm = [r[1] if r[0] == RM else None for r in c[2 * N_SLOTS : SM_BASE]]
     tm = [t[1:] if t[0] == TM else None for t in c[4 * N_SLOTS :]]
     if not _CODES.issuperset([t[0] for t in tm if t]):
@@ -252,6 +243,12 @@ def decrypt_block(grid: CipherGrid, chain: KeyChain) -> int:
                 raise ValueOutOfRange(f"prime {PRIMES[i]}: ({a},{b}) does not fit a nibble")
         sm[i] = seal_pairs(pairs, mask, key.swap, i)
     return decompress_block(rm, sm, tm, key.deltas)
+
+
+def decrypt_block(grid: CipherGrid, chain: KeyChain) -> int:
+    """Invert encrypt_block in one pass: the slot gate, then the body.
+    Raises what _open_grid raises, then what unseal_block raises."""
+    return unseal_block(*_open_grid(grid, chain))
 
 
 def harden_message(

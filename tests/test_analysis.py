@@ -4,8 +4,8 @@ import pytest
 
 import cryptompress as cm
 from cryptompress import analysis, container
-from cryptompress.errors import EmptyInput, InvalidKeyspace
-from cryptompress.keyschedule import KeyChain, derive_material, generate_key
+from cryptompress.errors import CryptompressError, EmptyInput, IntegrityFailure, InvalidKeyspace, ValueOutOfRange
+from cryptompress.keyschedule import KeyChain, derive_material, extend_key, generate_key
 
 
 def demo_setup(seed, min_count=2):
@@ -17,6 +17,98 @@ def demo_setup(seed, min_count=2):
         if all(symbols.count(p) >= min_count for p in (2, 3, 5, 7)):
             break
     return chain, block, cm.encrypt_block(block, chain)
+
+
+def candidate_chain(chain, low_bits, value):
+    """`chain` with the lowest `low_bits` bits of its base key replaced by
+    `value`; with at most 24 of them, only the XOR word changes."""
+    sm_key = chain.base.sm_key >> low_bits << low_bits | value
+    return KeyChain(chain.base._replace(sm_key=sm_key), chain.sticky)
+
+
+def reference_bruteforce(grid, chain, known_block, restricted_bits, harden_every, seed):
+    """The sweep as one full decrypt_block per candidate, each on its own
+    chain, in bruteforce_demo's order and with its rng state and hardening;
+    elapsed_seconds is 0."""
+    order, state = analysis._sweep_order(restricted_bits, seed)
+    rng = random.Random()
+    rng.setstate(state)
+    live_grid, live_chain = grid, chain
+    attempts = failures = 0
+    success = False
+    for value in order:
+        attempts += 1
+        try:
+            hit = cm.decrypt_block(live_grid, candidate_chain(chain, restricted_bits, value)) == known_block
+        except CryptompressError:
+            hit = False
+        if hit:
+            success = True
+            break
+        failures += 1
+        if harden_every and failures % harden_every == 0:
+            (live_grid,), live_chain = cm.harden_message((live_grid,), live_chain, rng)
+    hardenings = failures // harden_every if harden_every else 0
+    return analysis.AttackReport(restricted_bits, attempts, hardenings, 0.0, success)
+
+
+def deep_setup(seed, depth):
+    chain, block, _ = demo_setup(seed)
+    rng = random.Random(seed)
+    for _ in range(depth):
+        chain = extend_key(chain, rng)
+    return chain, block, cm.encrypt_block(block, chain)
+
+
+def _rotated(grid):
+    return grid._replace(cells=grid.cells[1:] + grid.cells[:1])
+
+
+def _same_sweep(grid, chain, block, bits, harden_every, seed):
+    report = analysis.bruteforce_demo(grid, chain, block, bits, harden_every, seed)
+    assert report._replace(elapsed_seconds=0.0) == reference_bruteforce(grid, chain, block, bits, harden_every, seed)
+    return report
+
+
+@pytest.mark.parametrize("harden_every", [0, 7])
+@pytest.mark.parametrize("seed", range(10))
+def test_sweep_matches_one_decrypt_per_candidate(seed, harden_every):
+    chain, block, grid = demo_setup(seed)
+    _same_sweep(grid, chain, block, 10, harden_every, seed)
+
+
+@pytest.mark.parametrize("depth", range(5))
+def test_sweep_matches_one_decrypt_per_candidate_on_deep_chains(depth):
+    chain, block, grid = deep_setup(depth, depth)
+    for bits in (1, 8, 10):
+        for harden_every in (0, 3, 7):
+            _same_sweep(grid, chain, block, bits, harden_every, depth)
+
+
+def test_sweep_of_a_grid_the_gate_refuses_matches_one_decrypt_per_candidate():
+    chain, block, grid = demo_setup(5)
+    report = _same_sweep(_rotated(grid), chain, block, 8, 0, 5)
+    assert report.attempts_made == 256 and not report.success
+    # the defender's own hardening opens the grid through the same gate
+    for sweep in (analysis.bruteforce_demo, reference_bruteforce):
+        with pytest.raises(IntegrityFailure):
+            sweep(_rotated(grid), chain, block, 8, 5, 5)
+
+
+def test_baseline_sweep_opens_the_grid_once(monkeypatch):
+    """One key is compiled and the live grid is opened once per sweep;
+    every candidate still runs the round check."""
+    calls = {"_open_grid": 0, "check_rounds": 0, "compile_key": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(analysis, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(analysis, name, counted)
+    chain, block, grid = demo_setup(0)
+    report = analysis.bruteforce_demo(grid, chain, block, 10, 0, seed=0)
+    assert report.success and report.attempts_made > 1
+    assert calls == {"_open_grid": 1, "check_rounds": report.attempts_made, "compile_key": 1}
 
 
 def test_exhaustive_search_succeeds_without_hardening():
@@ -111,6 +203,12 @@ def test_negative_harden_every_is_rejected():
     chain, block, grid = demo_setup(4)
     with pytest.raises(InvalidKeyspace, match="harden_every"):
         analysis.bruteforce_demo(grid, chain, block, 4, -1, seed=4)
+
+
+@pytest.mark.parametrize("stay", [1.5, -0.1])
+def test_biased_blocks_refuse_a_stay_outside_zero_to_one(stay):
+    with pytest.raises(ValueOutOfRange, match="stay"):
+        analysis.biased_blocks(1, 0, stay)
 
 
 def test_compression_stats_of_no_blocks_is_empty_input():

@@ -326,9 +326,9 @@ def test_decrypt_rejects_term_cell_naming_no_prime(golden_chain, golden_block):
             cm.decrypt_block(CipherGrid(grid.orders, tuple(cells), 0), golden_chain)
 
 
-def test_candidates_share_the_key_structure():
+def test_candidates_compile_equal_key_structures():
     """Chains that differ only in the XOR word or only in sticky words
-    share one AddSubMatrix, delta table, matrix-string cells and slot
+    compile equal AddSubMatrix, delta table, matrix-string cells and slot
     tables; only the mask differs."""
     rng = random.Random(21)
     base = generate_key(rng)
@@ -341,17 +341,17 @@ def test_candidates_share_the_key_structure():
     ]
     keys = [compile_key(c) for c in chains]
     for key in keys[1:]:
-        assert key.asm is keys[0].asm
-        assert key.deltas is keys[0].deltas
-        assert key.slots is keys[0].slots
-        assert key.asm_cells is keys[0].asm_cells
-        assert key.at is keys[0].at
+        assert key.asm == keys[0].asm
+        assert key.deltas == keys[0].deltas
+        assert key.slots == keys[0].slots
+        assert key.asm_cells == keys[0].asm_cells
+        assert key.at == keys[0].at
     assert all(keys[0].at[w] == i for i, w in enumerate(keys[0].slots))
     assert len({key.mask for key in keys}) == len(keys)
     assert [key.swap for key in keys] == [False, False, True, True, False]
     # an arrangement nibble of the SM key is structure, not mask
     other = compile_key(KeyChain(base._replace(sm_key=base.sm_key ^ (1 << 40))))
-    assert other.slots is not keys[0].slots
+    assert other.slots != keys[0].slots
     assert other.mask == keys[0].mask
 
 

@@ -294,6 +294,15 @@ def test_analyze_avalanche_json(capsys, tmp_path, golden_key_file):
     assert out == '{\n  "samples": 100,\n  "mean": 76.14,\n  "min": 10,\n  "max": 148\n}\n'
 
 
+def test_analyze_avalanche_without_a_key_draws_one_from_the_seed(capsys):
+    outs = []
+    for _ in range(2):
+        assert main(["analyze", "avalanche", "--samples", "100", "--seed", "3"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert json.loads(outs[0])["samples"] == 100
+    assert outs[0] == outs[1]
+
+
 def test_stale_key_refused_from_header_before_any_block_is_parsed(tmp_path, golden_key_file, monkeypatch):
     plain = tmp_path / "p.bin"
     plain.write_bytes(b"sixteen byte msg")

@@ -55,6 +55,11 @@ def test_key_file_length_follows_sticky_count():
         assert len(container.write_key(chain)) == 21 + 4 * k
 
 
+def test_write_key_refuses_256_sticky_words(golden_chain):
+    with pytest.raises(ValueOutOfRange, match="255"):
+        container.write_key(golden_chain._replace(sticky=(0,) * 256))
+
+
 def test_grid_cells_are_held_in_wire_order():
     """A grid's cells are the wire's row-major cells: write_cipher encodes
     them in order after each block's two order bytes, read_cipher returns
@@ -204,6 +209,12 @@ def test_write_cipher_refuses_cells_the_reader_refuses(golden_chain, golden_bloc
     with pytest.raises(MalformedCell) as written:
         container.write_cipher(msg)
     assert _outcome(container.read_cipher, _encode_without_checks(msg)) == (MalformedCell, str(written.value))
+
+
+def test_write_cipher_refuses_a_message_of_no_blocks():
+    # 6 tail bits would pass the tail check, so only the block check refuses
+    with pytest.raises(MalformedCell, match="at least one block"):
+        container.write_cipher(container.CipherMessage(grids=(), tail_bits=6))
 
 
 def test_write_cipher_refuses_a_256_pair_sequence_list(golden_chain, golden_block):

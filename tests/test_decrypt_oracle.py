@@ -16,7 +16,7 @@ import random
 import pytest
 
 import cryptompress as cm
-from cryptompress import analysis, codec
+from cryptompress import codec
 from cryptompress.cipher import (
     ASM,
     EMPTY,
@@ -36,6 +36,7 @@ from cryptompress.engine import AddSubMatrix, decompress_block
 from cryptompress.errors import CryptompressError, IntegrityFailure, ValueOutOfRange
 from cryptompress.keyschedule import KeyChain, extend_key, generate_key
 from test_acceptance import closed_form_outcomes
+from test_analysis import candidate_chain
 from test_compress_oracle import PrimeBlock, SequenceEvent, index_shape, reference_compress, unscramble
 
 PRIME_INDEX = codec.PRIME_INDEX
@@ -198,7 +199,7 @@ def honest(grid, chain, rng):
 
 def wrong_low_bits(grid, chain, rng):
     value = rng.getrandbits(16)
-    return grid, analysis._candidate_chain(chain.base, 16, value, chain.sticky)
+    return grid, candidate_chain(chain, 16, value)
 
 
 def rm_shift(grid, chain, rng):
