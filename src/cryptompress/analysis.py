@@ -15,10 +15,11 @@ from . import codec
 from .cipher import CipherGrid, _open_grid, check_rounds, compile_key, encrypt_block, fold_mask, harden_message, unseal_block
 from .container import compressed_size_bits, write_cipher, CipherMessage
 from .engine import compress_block
-from .errors import CryptompressError, EmptyInput, InvalidKeyspace, ValueOutOfRange
+from .errors import CryptompressError, EmptyInput, ValueOutOfRange
 from .keyschedule import KeyChain
 
 MAX_RESTRICTED_BITS = 24
+MIN_SAMPLES = 100
 
 
 class AttackReport(NamedTuple):
@@ -100,9 +101,9 @@ def bruteforce_demo(
     chain opens; a candidate then costs the round check and unseal_block
     under its own mask."""
     if not 1 <= restricted_bits <= MAX_RESTRICTED_BITS:
-        raise InvalidKeyspace(f"restricted_bits must be in [1, {MAX_RESTRICTED_BITS}], got {restricted_bits}")
+        raise ValueOutOfRange(f"restricted_bits must be in [1, {MAX_RESTRICTED_BITS}], got {restricted_bits}")
     if harden_every < 0:
-        raise InvalidKeyspace(f"harden_every must be at least 0, got {harden_every}")
+        raise ValueOutOfRange(f"harden_every must be at least 0, got {harden_every}")
     order, state = _sweep_order(restricted_bits, seed)
     rng = random.Random()
     rng.setstate(state)
@@ -111,11 +112,9 @@ def bruteforce_demo(
     high = chain.base.xor_word >> restricted_bits << restricted_bits
     live_grid, live_chain = grid, chain
     cells = None  # the live grid's logical cells, once a candidate opens it
-    attempts = 0
     failures = 0
     success = False
     for value in order:
-        attempts += 1
         try:
             check_rounds(live_grid.sticky_rounds, chain)
             if cells is None:
@@ -132,7 +131,7 @@ def bruteforce_demo(
             cells = None
     return AttackReport(
         keyspace_bits=restricted_bits,
-        attempts_made=attempts,
+        attempts_made=failures + success,
         hardenings_triggered=failures // harden_every if harden_every else 0,
         elapsed_seconds=time.perf_counter() - start,
         success=success,
@@ -199,8 +198,8 @@ def _hamming(a: bytes, b: bytes) -> int:
 def avalanche_test(samples: int, chain: KeyChain, seed: int) -> AvalancheReport:
     """Flip one random plaintext bit per sample and report the Hamming
     distance between the serialized grids (shorter one zero-padded)."""
-    if samples < 100:
-        raise ValueOutOfRange("need at least 100 samples")
+    if samples < MIN_SAMPLES:
+        raise ValueOutOfRange(f"need at least {MIN_SAMPLES} samples")
     rng = random.Random(seed)
     distances = []
     for _ in range(samples):

@@ -362,8 +362,8 @@ def _cmd_analyze_compression(args) -> int:
 
 def _cmd_analyze_avalanche(args) -> int:
     from . import analysis
-    if args.samples < 100:
-        raise UsageError(f"--samples must be at least 100, got {args.samples}")
+    if args.samples < analysis.MIN_SAMPLES:
+        raise UsageError(f"--samples must be at least {analysis.MIN_SAMPLES}, got {args.samples}")
     rng = random.Random(args.seed)
     if args.key:
         chain = _load_chain(args.key)

@@ -26,11 +26,11 @@ from .cipher import (
     check_tags,
     data_cells,
 )
+from .codec import BLOCK_BITS
 from .errors import (
     BadMagic,
     BadVersion,
     MalformedCell,
-    RoundCountMismatch,
     Truncated,
     ValueOutOfRange,
 )
@@ -137,9 +137,9 @@ def _check_tail(block_count: int, tail_bits: int) -> None:
     """Raise MalformedCell unless the last of `block_count` blocks holds
     `tail_bits` bits and the payload ends on a whole byte, as every payload
     that segment_message cuts does; the writer and the reader share it."""
-    if not 1 <= tail_bits <= 30:
-        raise MalformedCell(f"tail_bits must be in [1,30], got {tail_bits}")
-    if (30 * (block_count - 1) + tail_bits) % 8:
+    if not 1 <= tail_bits <= BLOCK_BITS:
+        raise MalformedCell(f"tail_bits must be in [1,{BLOCK_BITS}], got {tail_bits}")
+    if (BLOCK_BITS * (block_count - 1) + tail_bits) % 8:
         raise MalformedCell(f"{block_count} blocks with {tail_bits} tail bits are not whole bytes")
 
 
@@ -174,7 +174,7 @@ def write_cipher(msg: CipherMessage) -> bytes:
     _check_tail(len(msg.grids), msg.tail_bits)
     rounds = msg.grids[0].sticky_rounds
     if any(g.sticky_rounds != rounds for g in msg.grids):
-        raise RoundCountMismatch("blocks disagree about sticky depth")
+        raise ValueOutOfRange("blocks disagree about sticky depth")
     if not 0 <= rounds <= 255:
         raise ValueOutOfRange(f"sticky rounds must be in [0,255], got {rounds}")
     out = bytearray(CIPHER_MAGIC)

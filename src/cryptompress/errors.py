@@ -11,7 +11,8 @@ class WrongLength(CryptompressError):
 
 
 class ValueOutOfRange(CryptompressError):
-    """A value does not fit its declared range (prime, nibble, ...)."""
+    """A value does not fit its declared range: a prime, a nibble, an
+    analysis parameter, or a message whose grids disagree on depth."""
 
 
 class EmptyInput(CryptompressError):
@@ -30,10 +31,6 @@ class RoundCountMismatch(CryptompressError):
 
 class EntropyUnavailable(CryptompressError):
     """The supplied randomness source failed to produce bits."""
-
-
-class InvalidKeyspace(CryptompressError):
-    """Brute-force demo keyspace larger than the demo allows."""
 
 
 class ContainerError(CryptompressError):

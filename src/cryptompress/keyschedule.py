@@ -80,7 +80,10 @@ def derive_material(base: BaseKey) -> tuple[AddSubMatrix, tuple[int, ...]]:
     return AddSubMatrix(base.orders), tuple(n for w in words for n in _nibbles16(w))
 
 
-def _draw_bits(rng: random.Random, nbits: int) -> int:
+def _draw_bits(rng: random.Random | None, nbits: int) -> int:
+    """`nbits` random bits from `rng`, by default the OS entropy pool."""
+    if rng is None:
+        rng = random.SystemRandom()
     try:
         return rng.getrandbits(nbits)
     except Exception as exc:  # the source itself failed, not our state
@@ -93,13 +96,9 @@ def generate_key(rng: random.Random | None = None) -> BaseKey:
     Pass a seeded random.Random for reproducible tests; the default is the
     OS entropy pool. No weak-key screening: the scheme defines none.
     """
-    if rng is None:
-        rng = random.SystemRandom()
     return BaseKey.from_bytes(_draw_bits(rng, 128).to_bytes(KEY_BYTES, "big"))
 
 
 def extend_key(chain: KeyChain, rng: random.Random | None = None) -> KeyChain:
     """Append one fresh 32-bit sticky key; prior keys are untouched."""
-    if rng is None:
-        rng = random.SystemRandom()
     return KeyChain(base=chain.base, sticky=chain.sticky + (_draw_bits(rng, STICKY_BITS),))

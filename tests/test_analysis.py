@@ -4,7 +4,7 @@ import pytest
 
 import cryptompress as cm
 from cryptompress import analysis, container
-from cryptompress.errors import CryptompressError, EmptyInput, IntegrityFailure, InvalidKeyspace, ValueOutOfRange
+from cryptompress.errors import CryptompressError, EmptyInput, IntegrityFailure, ValueOutOfRange
 from cryptompress.keyschedule import KeyChain, derive_material, extend_key, generate_key
 
 
@@ -193,15 +193,16 @@ def test_attempts_bounded_by_keyspace():
 
 def test_keyspace_cap():
     chain, block, grid = demo_setup(4)
-    with pytest.raises(InvalidKeyspace):
-        analysis.bruteforce_demo(grid, chain, block, 25, 0, seed=4)
+    for bits in (0, 25):
+        with pytest.raises(ValueOutOfRange, match="restricted_bits"):
+            analysis.bruteforce_demo(grid, chain, block, bits, 0, seed=4)
 
 
 def test_negative_harden_every_is_rejected():
     """Without the guard a sweep of 16 candidates, every one failing,
     reported hardenings_triggered=-16."""
     chain, block, grid = demo_setup(4)
-    with pytest.raises(InvalidKeyspace, match="harden_every"):
+    with pytest.raises(ValueOutOfRange, match="harden_every"):
         analysis.bruteforce_demo(grid, chain, block, 4, -1, seed=4)
 
 
@@ -283,5 +284,7 @@ def test_avalanche_regression_fixture(golden, golden_chain):
 
 
 def test_avalanche_rejects_tiny_sample_counts(golden_chain):
-    with pytest.raises(cm.errors.ValueOutOfRange):
-        analysis.avalanche_test(50, golden_chain, seed=0)
+    for samples in (50, analysis.MIN_SAMPLES - 1):
+        with pytest.raises(cm.errors.ValueOutOfRange):
+            analysis.avalanche_test(samples, golden_chain, seed=0)
+    assert analysis.avalanche_test(analysis.MIN_SAMPLES, golden_chain, seed=0).samples == 100

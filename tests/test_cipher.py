@@ -1,10 +1,12 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import cryptompress as cm
-from cryptompress import cipher
+from cryptompress import cipher, errors
 from cryptompress.cipher import (
     ASM,
     EMPTY,
@@ -392,6 +394,39 @@ def test_harden_with_stale_chain_raises(golden_chain, golden_block):
         cm.harden_message((grid2,), golden_chain, random.Random(5))
     with pytest.raises(RoundCountMismatch):
         cm.decrypt_block(grid2, golden_chain)
+
+
+def raisers():
+    """Map each class name that a `raise` in the package names to the
+    innermost functions, as "module.function", that raise it."""
+    found = {}
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where.split('.')[0]}.{node.name}"
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
+            found.setdefault(name, set()).add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(Path(cipher.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def test_each_error_class_names_one_raised_fault():
+    """RoundCountMismatch means a stale key, which only the round check
+    finds; every concrete error class is raised somewhere."""
+    found = raisers()
+    assert found["RoundCountMismatch"] == {"cipher.check_rounds"}
+    concrete = {
+        name
+        for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, errors.CryptompressError)
+    } - {"CryptompressError", "ContainerError"}
+    assert concrete - found.keys() == set()
 
 
 def reference_harden(grid, chain, word):

@@ -12,7 +12,6 @@ from cryptompress.errors import (
     ContainerError,
     InventoryMismatch,
     MalformedCell,
-    RoundCountMismatch,
     Truncated,
     ValueOutOfRange,
 )
@@ -191,7 +190,7 @@ def test_write_cipher_rejects_mixed_rounds(golden_chain, golden_block):
     g0 = cm.encrypt_block(golden_block, golden_chain)
     chain1 = extend_key(golden_chain, rng)
     g1 = cm.encrypt_block(golden_block, chain1)
-    with pytest.raises(RoundCountMismatch):
+    with pytest.raises(ValueOutOfRange, match="disagree"):
         container.write_cipher(container.CipherMessage(grids=(g0, g1), tail_bits=26))
 
 
