@@ -8,14 +8,26 @@ JSON/CSV through _asdict(), and RatioReport.to_dict adds its means.
 
 import random
 import time
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import NamedTuple
 
 from . import codec
-from .cipher import CipherGrid, _open_grid, check_rounds, compile_key, encrypt_block, fold_mask, harden_message, unseal_block
+from .cipher import (
+    CipherGrid,
+    CompiledKey,
+    _open_grid,
+    check_rounds,
+    compile_key,
+    encrypt_block,
+    fold_mask,
+    harden_message,
+    read_body,
+    seal_pairs,
+    unseal_mask,
+)
 from .container import compressed_size_bits, write_cipher, CipherMessage
-from .engine import compress_block
-from .errors import CryptompressError, EmptyInput, ValueOutOfRange
+from .engine import compress_block, decompress_block
+from .errors import CryptompressError, EmptyInput, IntegrityFailure, ValueOutOfRange
 from .keyschedule import KeyChain
 
 MAX_RESTRICTED_BITS = 24
@@ -77,6 +89,30 @@ def _sweep_order(restricted_bits: int, seed: int) -> tuple[tuple[int, ...], tupl
     return tuple(order), rng.getstate()
 
 
+def _live_rebuild(grid: CipherGrid, chain: KeyChain, key: CompiledKey):
+    """The sweep's per-candidate step on one live grid: a function from an
+    unseal mask to the rebuilt block, which is rebuild_block with each
+    prime's unsealed pairs cached by that prime's byte of the mask. The
+    round check, the slot gate and the body read run here, once: they read
+    the live grid and the attacker's sticky words, never a candidate bit,
+    so a grid they refuse returns None and fails every candidate until the
+    next hardening."""
+    try:
+        check_rounds(grid.sticky_rounds, chain)
+        rm, tm, stored = read_body(_open_grid(grid, chain)[1])
+    except CryptompressError:
+        return None
+    u2, u3, u5, u7 = [
+        cache(lambda mask, pairs=pairs, i=i: seal_pairs(pairs, mask, key.swap, i)) for i, pairs in enumerate(stored)
+    ]
+
+    def rebuild(mask: int) -> int:
+        sm = {0: u2(mask & 0xFF000000), 1: u3(mask & 0xFF0000), 2: u5(mask & 0xFF00), 3: u7(mask & 0xFF)}
+        return decompress_block(rm, sm, tm, key.deltas)
+
+    return rebuild
+
+
 def bruteforce_demo(
     grid: CipherGrid,
     chain: KeyChain,
@@ -95,11 +131,15 @@ def bruteforce_demo(
     failure (0 = never) triggers hardening, which rewrites the sequence
     cells and grows the chain, so every later attempt, the true base key
     included, dies on the round-count check. The report then shows a full
-    unsuccessful sweep: the restart cost hardening imposes. The slot gate
-    and the key structure read no bit of the XOR word, the demo's whole
-    keyspace, so the live grid opened under `chain` is what any candidate's
-    chain opens; a candidate then costs the round check and unseal_block
-    under its own mask."""
+    unsuccessful sweep: the restart cost hardening imposes.
+
+    The key structure, the round check, the slot gate and the body read
+    read no bit of the XOR word, the demo's whole keyspace. So the sweep
+    compiles one key, runs those checks once per live grid (the starting
+    grid and each grid a hardening produces) under `chain`, and per
+    candidate only rebuilds the block under the candidate's unseal mask.
+    The mask fold is linear, so that mask is the unseal mask of the high
+    bits, folded once, XOR the candidate's low bits."""
     if not 1 <= restricted_bits <= MAX_RESTRICTED_BITS:
         raise ValueOutOfRange(f"restricted_bits must be in [1, {MAX_RESTRICTED_BITS}], got {restricted_bits}")
     if harden_every < 0:
@@ -110,25 +150,23 @@ def bruteforce_demo(
     start = time.perf_counter()  # after the shuffle, which the paired sweeps share
     key = compile_key(chain)
     high = chain.base.xor_word >> restricted_bits << restricted_bits
+    high_mask = unseal_mask(key._replace(mask=fold_mask(high, chain.sticky)))
     live_grid, live_chain = grid, chain
-    cells = None  # the live grid's logical cells, once a candidate opens it
+    rebuild = _live_rebuild(grid, chain, key)
     failures = 0
     success = False
     for value in order:
-        try:
-            check_rounds(live_grid.sticky_rounds, chain)
-            if cells is None:
-                cells = _open_grid(live_grid, chain)[1]
-            hit = unseal_block(key._replace(mask=fold_mask(high | value, chain.sticky)), cells) == known_block
-        except CryptompressError:
-            hit = False
-        if hit:
-            success = True
-            break
+        if rebuild is not None:
+            try:
+                success = rebuild(high_mask ^ value) == known_block
+            except IntegrityFailure:  # the only class the rebuild raises
+                pass
+            if success:
+                break
         failures += 1
         if harden_every and failures % harden_every == 0:
             (live_grid,), live_chain = harden_message((live_grid,), live_chain, rng)
-            cells = None
+            rebuild = _live_rebuild(live_grid, chain, key)
     return AttackReport(
         keyspace_bits=restricted_bits,
         attempts_made=failures + success,

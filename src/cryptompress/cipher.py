@@ -225,30 +225,48 @@ def _open_grid(grid: CipherGrid, chain: KeyChain) -> tuple[CompiledKey, list[Cel
     return key, c
 
 
-def unseal_block(key: CompiledKey, c: list[Cell]) -> int:
-    """decrypt_block's body: unmask the sequence pairs of the logical cells
-    _open_grid returns and rebuild the block. Raises, first match wins:
-    IntegrityFailure when a term cell names no prime; ValueOutOfRange when
-    an in-memory sequence pair does not fit a nibble; IntegrityFailure when
-    the rebuild or the RM checksum fails."""
+def read_body(c: list[Cell]) -> tuple[list, list, list]:
+    """decrypt_block's per-grid body read: the RM and TM lists and the four
+    stored SM pair tuples of the logical cells _open_grid returns. It reads
+    no key, so every mask that rebuilds one grid shares it. Raises, first
+    match wins: IntegrityFailure when a term cell names no prime;
+    ValueOutOfRange when an in-memory sequence pair does not fit a nibble."""
     rm = [r[1] if r[0] == RM else None for r in c[2 * N_SLOTS : SM_BASE]]
     tm = [t[1:] if t[0] == TM else None for t in c[4 * N_SLOTS :]]
     if not _CODES.issuperset([t[0] for t in tm if t]):
         raise IntegrityFailure(f"a term cell names no prime: {tm}")
-    mask = _nswap(key.mask) if key.swap else key.mask  # unseals what key.mask, key.swap sealed
-    sm = {}
-    for i, (_, pairs) in enumerate(c[SM_BASE : 4 * N_SLOTS]):
+    stored = [cell[1] for cell in c[SM_BASE : 4 * N_SLOTS]]
+    for i, pairs in enumerate(stored):
         for a, b in pairs:
             if (a | b) >> 4:
                 raise ValueOutOfRange(f"prime {PRIMES[i]}: ({a},{b}) does not fit a nibble")
+    return rm, tm, stored
+
+
+def unseal_mask(key: CompiledKey) -> int:
+    """The mask under which seal_pairs with key.swap unseals what
+    (key.mask, key.swap) sealed."""
+    return _nswap(key.mask) if key.swap else key.mask
+
+
+def rebuild_block(key: CompiledKey, body: tuple[list, list, list], mask: int) -> int:
+    """decrypt_block's per-mask rebuild: unseal each prime's stored pairs
+    of a read_body result under `mask` (see unseal_mask) and rebuild the
+    block. Raises IntegrityFailure when the rebuild or the RM checksum
+    fails."""
+    rm, tm, stored = body
+    sm = {}
+    for i, pairs in enumerate(stored):
         sm[i] = seal_pairs(pairs, mask, key.swap, i)
     return decompress_block(rm, sm, tm, key.deltas)
 
 
 def decrypt_block(grid: CipherGrid, chain: KeyChain) -> int:
-    """Invert encrypt_block in one pass: the slot gate, then the body.
-    Raises what _open_grid raises, then what unseal_block raises."""
-    return unseal_block(*_open_grid(grid, chain))
+    """Invert encrypt_block in one pass: the slot gate, the body read, then
+    the rebuild under the key's unseal mask. Raises what _open_grid raises,
+    then what read_body raises, then what rebuild_block raises."""
+    key, c = _open_grid(grid, chain)
+    return rebuild_block(key, read_body(c), unseal_mask(key))
 
 
 def harden_message(

@@ -4,6 +4,7 @@ import pytest
 
 import cryptompress as cm
 from cryptompress import analysis, container
+from cryptompress.cipher import N_SLOTS, SM, SM_BASE, TM, compile_key
 from cryptompress.errors import CryptompressError, EmptyInput, IntegrityFailure, ValueOutOfRange
 from cryptompress.keyschedule import KeyChain, derive_material, extend_key, generate_key
 
@@ -77,7 +78,7 @@ def test_sweep_matches_one_decrypt_per_candidate(seed, harden_every):
     _same_sweep(grid, chain, block, 10, harden_every, seed)
 
 
-@pytest.mark.parametrize("depth", range(5))
+@pytest.mark.parametrize("depth", [0, 1, 2, 3, 4, 7, 8])
 def test_sweep_matches_one_decrypt_per_candidate_on_deep_chains(depth):
     chain, block, grid = deep_setup(depth, depth)
     for bits in (1, 8, 10):
@@ -95,20 +96,69 @@ def test_sweep_of_a_grid_the_gate_refuses_matches_one_decrypt_per_candidate():
             sweep(_rotated(grid), chain, block, 8, 5, 5)
 
 
-def test_baseline_sweep_opens_the_grid_once(monkeypatch):
-    """One key is compiled and the live grid is opened once per sweep;
-    every candidate still runs the round check."""
-    calls = {"_open_grid": 0, "check_rounds": 0, "compile_key": 0}
+def _body_fault(grid, chain, fault):
+    """`grid` with one cell the gate passes and the body read refuses: a
+    term cell whose code names no prime, or a sequence pair that does not
+    fit a nibble."""
+    slots = compile_key(chain).slots
+    cells = list(grid.cells)
+    if fault == "term code":
+        j = next(j for j in slots[4 * N_SLOTS :] if cells[j][0] == TM)
+        cells[j] = (TM, 9, cells[j][2])
+    else:
+        cells[slots[SM_BASE]] = (SM, ((16, 1),))
+    return grid._replace(cells=tuple(cells))
+
+
+@pytest.mark.parametrize("harden_every", [0, 5])
+@pytest.mark.parametrize("fault", ["term code", "nibble"])
+def test_sweep_of_a_grid_the_body_read_refuses_matches_one_decrypt_per_candidate(fault, harden_every):
+    """The sweep runs the body read once per live grid; a grid it refuses
+    fails every candidate, and harden_message, which never reads the body,
+    still hardens it."""
+    chain, block, grid = demo_setup(6)
+    bad = _body_fault(grid, chain, fault)
+    with pytest.raises(IntegrityFailure if fault == "term code" else ValueOutOfRange):
+        cm.decrypt_block(bad, chain)
+    report = _same_sweep(bad, chain, block, 8, harden_every, 6)
+    assert report.attempts_made == 256 and not report.success
+    assert report.hardenings_triggered == (51 if harden_every else 0)
+
+
+def _sweep_calls(harden_every, monkeypatch):
+    """The report of a 10-bit sweep and the first argument of each call it
+    makes to the key compiler, the fold, the round check and the gate."""
+    calls = {"_open_grid": [], "check_rounds": [], "compile_key": [], "fold_mask": []}
     for name in calls:
         def counted(*args, _fn=getattr(analysis, name), _name=name):
-            calls[_name] += 1
+            calls[_name].append(args[0])
             return _fn(*args)
 
         monkeypatch.setattr(analysis, name, counted)
     chain, block, grid = demo_setup(0)
-    report = analysis.bruteforce_demo(grid, chain, block, 10, 0, seed=0)
+    report = analysis.bruteforce_demo(grid, chain, block, 10, harden_every, seed=0)
+    # one key compiled and one high mask folded per sweep
+    assert calls.pop("compile_key") == [chain]
+    assert calls.pop("fold_mask") == [chain.base.xor_word >> 10 << 10]
+    return report, grid, calls
+
+
+def test_baseline_sweep_opens_the_grid_once(monkeypatch):
+    """The live grid runs the round check and the gate once, not once per
+    candidate: a candidate costs only its rebuild. reference_bruteforce
+    locks each candidate's verdict."""
+    report, grid, calls = _sweep_calls(0, monkeypatch)
     assert report.success and report.attempts_made > 1
-    assert calls == {"_open_grid": 1, "check_rounds": report.attempts_made, "compile_key": 1}
+    assert calls == {"_open_grid": [grid], "check_rounds": [0]}
+
+
+def test_hardened_sweep_checks_each_live_grid_once(monkeypatch):
+    """Each live grid, the starting one and each one a hardening produces,
+    runs the round check once. Only the starting grid passes it, so only
+    that grid is opened."""
+    report, grid, calls = _sweep_calls(7, monkeypatch)
+    assert report.hardenings_triggered >= 2
+    assert calls == {"_open_grid": [grid], "check_rounds": list(range(report.hardenings_triggered + 1))}
 
 
 def test_exhaustive_search_succeeds_without_hardening():

@@ -166,6 +166,22 @@ def test_folded_mask_matches_step_by_step_rounds(pyrandom, depth):
     assert unseal(want, chain) == sm
 
 
+@pytest.mark.parametrize("depth", [0, 1, 2, 7, 8])
+@settings(max_examples=200, deadline=None)
+@given(word=st.integers(0, 2**32 - 1), bits=st.integers(1, 24), data=st.data())
+def test_unseal_mask_is_linear_in_the_low_xor_bits(depth, word, bits, data):
+    """The fold is linear, so the unseal mask of a chain whose XOR word is
+    high | value is that of high XOR value: a brute-force sweep folds its
+    high bits once and XORs each candidate in, at any depth and parity."""
+    sticky = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=depth, max_size=depth))
+    high, value = word >> bits << bits, word & ((1 << bits) - 1)
+
+    def mask(xor_word):
+        return cipher.unseal_mask(compile_key(chain_with_xor_word(xor_word, sticky)))
+
+    assert mask(high | value) == mask(high) ^ value
+
+
 def grid_items(rng):
     """A random but inventory-valid set of 20 cells."""
     present = sorted(rng.sample(PRIMES, rng.randrange(1, 5)))
