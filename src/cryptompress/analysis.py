@@ -13,10 +13,10 @@ from typing import NamedTuple
 
 from . import codec
 from .cipher import (
+    PRIME_BYTES,
     CipherGrid,
     CompiledKey,
     _open_grid,
-    check_rounds,
     compile_key,
     encrypt_block,
     fold_mask,
@@ -91,23 +91,23 @@ def _sweep_order(restricted_bits: int, seed: int) -> tuple[tuple[int, ...], tupl
 
 def _live_rebuild(grid: CipherGrid, chain: KeyChain, key: CompiledKey):
     """The sweep's per-candidate step on one live grid: a function from an
-    unseal mask to the rebuilt block, which is rebuild_block with each
+    unseal mask to the rebuilt block, decrypt_block's rebuild with each
     prime's unsealed pairs cached by that prime's byte of the mask. The
-    round check, the slot gate and the body read run here, once: they read
-    the live grid and the attacker's sticky words, never a candidate bit,
-    so a grid they refuse returns None and fails every candidate until the
-    next hardening."""
+    slot gate, whose first check is the round count, and the body read run
+    here, once: they read the live grid and the attacker's sticky words,
+    never a candidate bit, so a grid they refuse returns None and fails
+    every candidate until the next hardening."""
     try:
-        check_rounds(grid.sticky_rounds, chain)
         rm, tm, stored = read_body(_open_grid(grid, chain)[1])
     except CryptompressError:
         return None
     u2, u3, u5, u7 = [
         cache(lambda mask, pairs=pairs, i=i: seal_pairs(pairs, mask, key.swap, i)) for i, pairs in enumerate(stored)
     ]
+    b2, b3, b5, b7 = PRIME_BYTES
 
     def rebuild(mask: int) -> int:
-        sm = {0: u2(mask & 0xFF000000), 1: u3(mask & 0xFF0000), 2: u5(mask & 0xFF00), 3: u7(mask & 0xFF)}
+        sm = {0: u2(mask & b2), 1: u3(mask & b3), 2: u5(mask & b5), 3: u7(mask & b7)}
         return decompress_block(rm, sm, tm, key.deltas)
 
     return rebuild
@@ -133,11 +133,11 @@ def bruteforce_demo(
     included, dies on the round-count check. The report then shows a full
     unsuccessful sweep: the restart cost hardening imposes.
 
-    The key structure, the round check, the slot gate and the body read
-    read no bit of the XOR word, the demo's whole keyspace. So the sweep
-    compiles one key, runs those checks once per live grid (the starting
-    grid and each grid a hardening produces) under `chain`, and per
-    candidate only rebuilds the block under the candidate's unseal mask.
+    The key structure, the slot gate (round check included) and the body
+    read read no bit of the XOR word, the demo's whole keyspace. So the
+    sweep compiles one key, runs those checks once per live grid (the
+    starting grid and each grid a hardening produces) under `chain`, and
+    per candidate only rebuilds the block under the candidate's unseal mask.
     The mask fold is linear, so that mask is the unseal mask of the high
     bits, folded once, XOR the candidate's low bits."""
     if not 1 <= restricted_bits <= MAX_RESTRICTED_BITS:

@@ -167,9 +167,13 @@ def compile_key(chain: KeyChain) -> CompiledKey:
     )
 
 
+PRIME_BYTES = (0xFF000000, 0xFF0000, 0xFF00, 0xFF)  # the byte of a mask each prime's pairs read
+
+
 def seal_pairs(pairs, mask: int, swap: bool, prime_index: int) -> tuple[tuple[int, int], ...]:
     """The SM key layer on one prime's (S, R) pairs: swap the halves when
-    `swap`, then XOR with the prime's byte of `mask`, S nibble high."""
+    `swap`, then XOR with the prime's byte of `mask` (PRIME_BYTES), S
+    nibble high."""
     ms, mr = mask >> (28 - 8 * prime_index) & 15, mask >> (24 - 8 * prime_index) & 15
     if swap:
         return tuple([(r ^ ms, s ^ mr) for s, r in pairs])
@@ -228,7 +232,7 @@ def _open_grid(grid: CipherGrid, chain: KeyChain) -> tuple[CompiledKey, list[Cel
 def read_body(c: list[Cell]) -> tuple[list, list, list]:
     """decrypt_block's per-grid body read: the RM and TM lists and the four
     stored SM pair tuples of the logical cells _open_grid returns. It reads
-    no key, so every mask that rebuilds one grid shares it. Raises, first
+    no key, so every unseal mask tried on one grid shares it. Raises, first
     match wins: IntegrityFailure when a term cell names no prime;
     ValueOutOfRange when an in-memory sequence pair does not fit a nibble."""
     rm = [r[1] if r[0] == RM else None for r in c[2 * N_SLOTS : SM_BASE]]
@@ -249,24 +253,19 @@ def unseal_mask(key: CompiledKey) -> int:
     return _nswap(key.mask) if key.swap else key.mask
 
 
-def rebuild_block(key: CompiledKey, body: tuple[list, list, list], mask: int) -> int:
-    """decrypt_block's per-mask rebuild: unseal each prime's stored pairs
-    of a read_body result under `mask` (see unseal_mask) and rebuild the
-    block. Raises IntegrityFailure when the rebuild or the RM checksum
-    fails."""
-    rm, tm, stored = body
+def decrypt_block(grid: CipherGrid, chain: KeyChain) -> int:
+    """Invert encrypt_block in one pass: the slot gate, the body read, then
+    the rebuild, which unseals each prime's stored pairs under the key's
+    unseal mask and decompresses. Raises what _open_grid raises, then what
+    read_body raises, then IntegrityFailure when the rebuild or the RM
+    checksum fails."""
+    key, c = _open_grid(grid, chain)
+    rm, tm, stored = read_body(c)
+    mask = unseal_mask(key)
     sm = {}
     for i, pairs in enumerate(stored):
         sm[i] = seal_pairs(pairs, mask, key.swap, i)
     return decompress_block(rm, sm, tm, key.deltas)
-
-
-def decrypt_block(grid: CipherGrid, chain: KeyChain) -> int:
-    """Invert encrypt_block in one pass: the slot gate, the body read, then
-    the rebuild under the key's unseal mask. Raises what _open_grid raises,
-    then what read_body raises, then what rebuild_block raises."""
-    key, c = _open_grid(grid, chain)
-    return rebuild_block(key, read_body(c), unseal_mask(key))
 
 
 def harden_message(

@@ -126,9 +126,10 @@ def test_sweep_of_a_grid_the_body_read_refuses_matches_one_decrypt_per_candidate
 
 
 def _sweep_calls(harden_every, monkeypatch):
-    """The report of a 10-bit sweep and the first argument of each call it
-    makes to the key compiler, the fold, the round check and the gate."""
-    calls = {"_open_grid": [], "check_rounds": [], "compile_key": [], "fold_mask": []}
+    """The report of a 10-bit sweep, the grids it is given or hardens, and
+    the first argument of each call it makes to the key compiler, the fold
+    and the gate."""
+    calls = {"_open_grid": [], "compile_key": [], "fold_mask": []}
     for name in calls:
         def counted(*args, _fn=getattr(analysis, name), _name=name):
             calls[_name].append(args[0])
@@ -136,29 +137,37 @@ def _sweep_calls(harden_every, monkeypatch):
 
         monkeypatch.setattr(analysis, name, counted)
     chain, block, grid = demo_setup(0)
+    live = [grid]
+
+    def harden(grids, *args, _fn=analysis.harden_message):
+        out = _fn(grids, *args)
+        live.extend(out[0])
+        return out
+
+    monkeypatch.setattr(analysis, "harden_message", harden)
     report = analysis.bruteforce_demo(grid, chain, block, 10, harden_every, seed=0)
     # one key compiled and one high mask folded per sweep
     assert calls.pop("compile_key") == [chain]
     assert calls.pop("fold_mask") == [chain.base.xor_word >> 10 << 10]
-    return report, grid, calls
+    return report, live, calls
 
 
 def test_baseline_sweep_opens_the_grid_once(monkeypatch):
-    """The live grid runs the round check and the gate once, not once per
-    candidate: a candidate costs only its rebuild. reference_bruteforce
+    """The live grid runs the gate, round check included, once, not once
+    per candidate: a candidate costs only its rebuild. reference_bruteforce
     locks each candidate's verdict."""
-    report, grid, calls = _sweep_calls(0, monkeypatch)
+    report, live, calls = _sweep_calls(0, monkeypatch)
     assert report.success and report.attempts_made > 1
-    assert calls == {"_open_grid": [grid], "check_rounds": [0]}
+    assert calls == {"_open_grid": live} and len(live) == 1
 
 
 def test_hardened_sweep_checks_each_live_grid_once(monkeypatch):
     """Each live grid, the starting one and each one a hardening produces,
-    runs the round check once. Only the starting grid passes it, so only
-    that grid is opened."""
-    report, grid, calls = _sweep_calls(7, monkeypatch)
+    runs the gate once; every hardened grid fails its round check there."""
+    report, live, calls = _sweep_calls(7, monkeypatch)
     assert report.hardenings_triggered >= 2
-    assert calls == {"_open_grid": [grid], "check_rounds": list(range(report.hardenings_triggered + 1))}
+    assert len(live) == report.hardenings_triggered + 1
+    assert calls == {"_open_grid": live}
 
 
 def test_exhaustive_search_succeeds_without_hardening():

@@ -182,6 +182,19 @@ def test_unseal_mask_is_linear_in_the_low_xor_bits(depth, word, bits, data):
     assert mask(high | value) == mask(high) ^ value
 
 
+@given(
+    mask=st.integers(0, 2**32 - 1),
+    swap=st.booleans(),
+    i=st.integers(0, 3),
+    pairs=st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)), max_size=4),
+)
+def test_seal_pairs_reads_only_the_primes_byte_of_the_mask(mask, swap, i, pairs):
+    """PRIME_BYTES names the byte of a mask each prime's pairs read, the
+    key a brute-force sweep caches each prime's unsealed pairs by."""
+    assert seal_pairs(pairs, mask, swap, i) == seal_pairs(pairs, mask & cipher.PRIME_BYTES[i], swap, i)
+    assert seal_pairs(pairs, mask, swap, i) == seal_pairs(pairs, mask | ~cipher.PRIME_BYTES[i] & 2**32 - 1, swap, i)
+
+
 def grid_items(rng):
     """A random but inventory-valid set of 20 cells."""
     present = sorted(rng.sample(PRIMES, rng.randrange(1, 5)))
