@@ -15,7 +15,6 @@ from . import codec
 from .cipher import (
     PRIME_BYTES,
     CipherGrid,
-    CompiledKey,
     _open_grid,
     compile_key,
     encrypt_block,
@@ -80,37 +79,12 @@ def demo_block(rng: random.Random) -> int:
 
 
 @lru_cache(maxsize=1)
-def _sweep_order(restricted_bits: int, seed: int) -> tuple[tuple[int, ...], tuple]:
-    """The seed-shuffled candidate order and the rng state after the
-    shuffle, kept for the paired baseline and hardened sweeps."""
+def _sweep_order(restricted_bits: int, seed: int) -> tuple[int, ...]:
+    """The seed-shuffled candidate order, kept for the paired baseline and
+    hardened sweeps."""
     order = list(range(1 << restricted_bits))
-    rng = random.Random(seed)
-    rng.shuffle(order)
-    return tuple(order), rng.getstate()
-
-
-def _live_rebuild(grid: CipherGrid, chain: KeyChain, key: CompiledKey):
-    """The sweep's per-candidate step on one live grid: a function from an
-    unseal mask to the rebuilt block, decrypt_block's rebuild with each
-    prime's unsealed pairs cached by that prime's byte of the mask. The
-    slot gate, whose first check is the round count, and the body read run
-    here, once: they read the live grid and the attacker's sticky words,
-    never a candidate bit, so a grid they refuse returns None and fails
-    every candidate until the next hardening."""
-    try:
-        rm, tm, stored = read_body(_open_grid(grid, chain)[1])
-    except CryptompressError:
-        return None
-    u2, u3, u5, u7 = [
-        cache(lambda mask, pairs=pairs, i=i: seal_pairs(pairs, mask, key.swap, i)) for i, pairs in enumerate(stored)
-    ]
-    b2, b3, b5, b7 = PRIME_BYTES
-
-    def rebuild(mask: int) -> int:
-        sm = {0: u2(mask & b2), 1: u3(mask & b3), 2: u5(mask & b5), 3: u7(mask & b7)}
-        return decompress_block(rm, sm, tm, key.deltas)
-
-    return rebuild
+    random.Random(seed).shuffle(order)
+    return tuple(order)
 
 
 def bruteforce_demo(
@@ -133,32 +107,44 @@ def bruteforce_demo(
     included, dies on the round-count check. The report then shows a full
     unsuccessful sweep: the restart cost hardening imposes.
 
-    The key structure, the slot gate (round check included) and the body
-    read read no bit of the XOR word, the demo's whole keyspace. So the
-    sweep compiles one key, runs those checks once per live grid (the
-    starting grid and each grid a hardening produces) under `chain`, and
-    per candidate only rebuilds the block under the candidate's unseal mask.
-    The mask fold is linear, so that mask is the unseal mask of the high
-    bits, folded once, XOR the candidate's low bits."""
+    The key structure, the slot gate and the body read read no bit of the
+    XOR word, the demo's whole keyspace. So the sweep compiles one key and
+    opens the starting grid once under `chain`; per candidate it only
+    rebuilds the block under the candidate's unseal mask, with each prime's
+    unsealed pairs cached by that prime's byte of the mask. The mask fold
+    is linear, so that mask is the unseal mask of the high bits, folded
+    once, XOR the candidate's low bits. A hardened grid carries more
+    rounds than `chain` has sticky words, so its gate refuses every
+    candidate and the sweep opens none. The defender's sticky words come
+    from random.Random(seed); no report field reads them."""
     if not 1 <= restricted_bits <= MAX_RESTRICTED_BITS:
         raise ValueOutOfRange(f"restricted_bits must be in [1, {MAX_RESTRICTED_BITS}], got {restricted_bits}")
     if harden_every < 0:
         raise ValueOutOfRange(f"harden_every must be at least 0, got {harden_every}")
-    order, state = _sweep_order(restricted_bits, seed)
-    rng = random.Random()
-    rng.setstate(state)
+    order = _sweep_order(restricted_bits, seed)
+    rng = random.Random(seed)
     start = time.perf_counter()  # after the shuffle, which the paired sweeps share
     key = compile_key(chain)
     high = chain.base.xor_word >> restricted_bits << restricted_bits
     high_mask = unseal_mask(key._replace(mask=fold_mask(high, chain.sticky)))
+    try:
+        rm, tm, stored = read_body(_open_grid(grid, chain)[1])
+    except CryptompressError:  # the grid fails every candidate
+        stored = None
+    else:
+        u2, u3, u5, u7 = [
+            cache(lambda mask, pairs=pairs, i=i: seal_pairs(pairs, mask, key.swap, i)) for i, pairs in enumerate(stored)
+        ]
+        b2, b3, b5, b7 = PRIME_BYTES
     live_grid, live_chain = grid, chain
-    rebuild = _live_rebuild(grid, chain, key)
     failures = 0
     success = False
     for value in order:
-        if rebuild is not None:
+        if stored is not None:
+            mask = high_mask ^ value
+            sm = {0: u2(mask & b2), 1: u3(mask & b3), 2: u5(mask & b5), 3: u7(mask & b7)}
             try:
-                success = rebuild(high_mask ^ value) == known_block
+                success = decompress_block(rm, sm, tm, key.deltas) == known_block
             except IntegrityFailure:  # the only class the rebuild raises
                 pass
             if success:
@@ -166,7 +152,7 @@ def bruteforce_demo(
         failures += 1
         if harden_every and failures % harden_every == 0:
             (live_grid,), live_chain = harden_message((live_grid,), live_chain, rng)
-            rebuild = _live_rebuild(live_grid, chain, key)
+            stored = None
     return AttackReport(
         keyspace_bits=restricted_bits,
         attempts_made=failures + success,

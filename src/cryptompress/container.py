@@ -63,6 +63,8 @@ class CipherMessage(NamedTuple):
 def write_key(chain: KeyChain) -> bytes:
     if len(chain.sticky) > 255:
         raise ValueOutOfRange("at most 255 sticky keys fit the key file")
+    if not all(isinstance(word, int) for word in (*chain.base, *chain.sticky)):
+        raise ValueOutOfRange("every key word must be an int")
     out = bytearray(KEY_MAGIC)
     out.append(len(chain.sticky))
     try:
@@ -137,7 +139,7 @@ def _check_tail(block_count: int, tail_bits: int) -> None:
     """Raise MalformedCell unless the last of `block_count` blocks holds
     `tail_bits` bits and the payload ends on a whole byte, as every payload
     that segment_message cuts does; the writer and the reader share it."""
-    if not 1 <= tail_bits <= BLOCK_BITS:
+    if not isinstance(tail_bits, int) or not 1 <= tail_bits <= BLOCK_BITS:
         raise MalformedCell(f"tail_bits must be in [1,{BLOCK_BITS}], got {tail_bits}")
     if (BLOCK_BITS * (block_count - 1) + tail_bits) % 8:
         raise MalformedCell(f"{block_count} blocks with {tail_bits} tail bits are not whole bytes")
@@ -175,7 +177,7 @@ def write_cipher(msg: CipherMessage) -> bytes:
     rounds = msg.grids[0].sticky_rounds
     if any(g.sticky_rounds != rounds for g in msg.grids):
         raise ValueOutOfRange("blocks disagree about sticky depth")
-    if not 0 <= rounds <= 255:
+    if not isinstance(rounds, int) or not 0 <= rounds <= 255:
         raise ValueOutOfRange(f"sticky rounds must be in [0,255], got {rounds}")
     out = bytearray(CIPHER_MAGIC)
     out.append(CIPHER_VERSION)
@@ -189,10 +191,15 @@ def write_cipher(msg: CipherMessage) -> bytes:
     valid_tags: set[bytes] = set()
     for grid in msg.grids:
         o = grid.orders
-        if len(o) != 4 or not _NIBBLES.issuperset(o):
+        try:  # a float equal to a nibble passes the set test, not the shift
+            valid = len(o) == 4 and _NIBBLES.issuperset(o)
+            if valid:
+                out.append((o[0] << 4) | o[1])
+                out.append((o[2] << 4) | o[3])
+        except TypeError:
+            valid = False
+        if not valid:
             raise ValueOutOfRange(f"orders {o} are not four nibbles")
-        out.append((o[0] << 4) | o[1])
-        out.append((o[2] << 4) | o[3])
         for cell in grid.cells:
             try:
                 raw = memo.get(cell)

@@ -244,6 +244,13 @@ def test_c09_scramble_sanity(golden):
     ok(9, "scramble/unscramble identity and multiset preservation on 1000 grids")
 
 
+# Each seed's baseline attempts in README's paired loop; every baseline
+# succeeds without a hardening, and every hardened sweep makes all 65536
+# attempts, hardens 131 times and fails. reference_bruteforce shares the
+# sweep's shuffle, so only these pins catch a change in candidate order.
+C10_BASELINE_ATTEMPTS = (21958, 551, 21988, 64875, 57439, 22739, 40777, 32848, 62955, 26498)
+
+
 def test_c10_bruteforce_paired_seeds():
     # harden_every=500: every frozen seed's baseline needs more than 500
     # attempts, so hardening always fires in the paired run (measured
@@ -259,7 +266,10 @@ def test_c10_bruteforce_paired_seeds():
         hard = analysis.bruteforce_demo(grid, chain, block, 16, 500, seed)
         assert base.success
         assert hard.attempts_made > base.attempts_made, seed
-        results.append((base.attempts_made, hard.attempts_made))
+        results.append(
+            [(r.attempts_made, r.hardenings_triggered, r.success) for r in (base, hard)]
+        )
+    assert results == [[(n, 0, True), (65536, 131, False)] for n in C10_BASELINE_ATTEMPTS]
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     ok(10, f"hardened run exceeds baseline on 10/10 paired seeds in {elapsed:.1f} s")

@@ -264,6 +264,42 @@ def test_writers_refuse_what_the_reader_cannot_read_back(golden_chain, golden_bl
         write(cm.encrypt_block(golden_block, golden_chain), golden_chain)
 
 
+# A value equal to an int but of another type passes a range or set test;
+# each writer refuses it with the class of its field's range check, as
+# _encode_checked does for a cell.
+@pytest.mark.parametrize("orders", [(5.0, 1, 2, 3), (5, 1, 2, 3.0), (5, 1, 2, "3"), None])
+def test_write_cipher_refuses_order_nibbles_that_are_not_ints(golden_chain, golden_block, orders):
+    grid = cm.encrypt_block(golden_block, golden_chain)._replace(orders=orders)
+    with pytest.raises(ValueOutOfRange, match="not four nibbles"):
+        container.write_cipher(container.CipherMessage((grid,), 24))
+
+
+@pytest.mark.parametrize("tail_bits", [24.0, "24", None])
+def test_write_cipher_refuses_tail_bits_that_are_not_an_int(golden_chain, golden_block, tail_bits):
+    grid = cm.encrypt_block(golden_block, golden_chain)
+    with pytest.raises(MalformedCell, match="tail_bits"):
+        container.write_cipher(container.CipherMessage((grid,), tail_bits))
+
+
+@pytest.mark.parametrize("convert", [float, str])
+def test_write_cipher_refuses_sticky_rounds_that_are_not_an_int(golden_chain, golden_block, convert):
+    grid = cm.encrypt_block(golden_block, golden_chain)
+    grid = grid._replace(sticky_rounds=convert(grid.sticky_rounds))
+    with pytest.raises(ValueOutOfRange, match="sticky rounds"):
+        container.write_cipher(container.CipherMessage((grid,), 24))
+
+
+@pytest.mark.parametrize("value", [1.0, "1", None])
+@pytest.mark.parametrize("field", ["asm_key", "rm_key", "tm_key", "sm_key", "sticky"])
+def test_write_key_refuses_key_words_that_are_not_ints(golden_chain, field, value):
+    if field == "sticky":
+        chain = golden_chain._replace(sticky=(7, value))
+    else:
+        chain = golden_chain._replace(base=golden_chain.base._replace(**{field: value}))
+    with pytest.raises(ValueOutOfRange, match="key word"):
+        container.write_key(chain)
+
+
 def test_sticky_rounds_survive_serialization(golden_chain, golden_block):
     rng = random.Random(26)
     chain = extend_key(extend_key(golden_chain, rng), rng)
