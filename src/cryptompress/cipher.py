@@ -74,20 +74,18 @@ _DATA_TAGS = frozenset(
     for r in combinations(range(N_SLOTS), m)
     for t in combinations(range(N_SLOTS), m)
 )
-# counts[tag] of a valid grid, keyed by its number of outcomes m
-_INVENTORY = {
-    tags.count(RM): [tags.count(tag) for tag in range(N_KINDS)]
-    for tags in ((ASM,) * 2 * N_SLOTS + data for data in _DATA_TAGS)
-}
 
 
+@lru_cache(maxsize=128)  # it raises on a bad string, so it keeps only strings that pass
 def check_tags(tags: Sequence[int]) -> None:
-    """Raise InventoryMismatch unless one grid's cell tags make up the 20
-    logical items of a block, first for a tag that names no kind."""
+    """Raise InventoryMismatch unless one grid's tags, a hashable sequence, are
+    the 20 logical items: 8 matrix strings, 4 sequence lists, m outcomes, m term
+    pairs and 8 - 2m empty slots for one m in 1..4; first for a tag naming no kind."""
     counts = [tags.count(tag) for tag in range(N_KINDS)]
     if sum(counts) != len(tags):
         raise InventoryMismatch(f"cell tags {[t for t in tags if t not in range(N_KINDS)]} name no kind")
-    if counts != _INVENTORY.get(counts[RM]):
+    m = counts[RM]
+    if not 1 <= m <= N_SLOTS or counts != [2 * N_SLOTS - 2 * m, 2 * N_SLOTS, m, N_SLOTS, m]:
         raise InventoryMismatch(
             "cell inventory is not a permutation of the 20 logical items: "
             f"{dict(zip(KIND_NAMES, counts))}"
@@ -224,7 +222,7 @@ def _open_grid(grid: CipherGrid, chain: KeyChain) -> tuple[CompiledKey, list[Cel
     c = [cells[j] for j in key.slots] if len(cells) == N_CELLS else []
     heads = [cell[:2] for cell in c[: 2 * N_SLOTS]]
     if heads != _ASM_HEADS or tuple(map(_tag, c[2 * N_SLOTS :])) not in _DATA_TAGS:
-        check_tags(list(map(_tag, cells)))  # an inventory fault outranks a slot fault
+        check_tags(tuple(map(_tag, cells)))  # an inventory fault outranks a slot fault
         raise IntegrityFailure("a slot holds the wrong kind, or a matrix string marks the wrong position")
     return key, c
 

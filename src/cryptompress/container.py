@@ -14,7 +14,7 @@ Each cell is a record led by its tag byte (_WIRE below); an SM record,
 import struct
 from itertools import chain
 from operator import itemgetter, le
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .cipher import (
     KIND_NAMES,
@@ -161,15 +161,6 @@ def _encode_checked(cell: Cell) -> bytes:
     return raw
 
 
-def _check_tags(cells: Sequence[Cell], valid: set[bytes]) -> None:
-    """check_tags on one grid's tag string, unless `valid`, the strings
-    that passed before, holds it; the writer and the reader share it."""
-    tags = bytes(map(itemgetter(0), cells))
-    if tags not in valid:
-        check_tags(tags)
-        valid.add(tags)
-
-
 def write_cipher(msg: CipherMessage) -> bytes:
     if not msg.grids:
         raise MalformedCell("a cipher file needs at least one block")
@@ -184,15 +175,14 @@ def write_cipher(msg: CipherMessage) -> bytes:
     out.append(rounds)
     out += struct.pack(">I", len(msg.grids))
     out.append(msg.tail_bits)
-    # Each distinct cell and tag string is checked once, through memos that
-    # live for this call: the writer refuses every grid the reader would
-    # refuse or read back as another grid, with the reader's error if any.
+    # Each distinct cell is checked once, through a memo for this call: the writer refuses every
+    # grid the reader would refuse or read back unequal, with the reader's error if any. The memo
+    # refuses (RM, 22.0) alone but writes it as (RM, 22)'s bytes after an equal int cell.
     memo: dict[Cell, bytes] = {}
-    valid_tags: set[bytes] = set()
     for grid in msg.grids:
         o = grid.orders
         try:  # a float equal to a nibble passes the set test, not the shift
-            valid = len(o) == 4 and _NIBBLES.issuperset(o)
+            valid = type(o) is tuple and len(o) == 4 and _NIBBLES.issuperset(o)
             if valid:
                 out.append((o[0] << 4) | o[1])
                 out.append((o[2] << 4) | o[3])
@@ -200,6 +190,8 @@ def write_cipher(msg: CipherMessage) -> bytes:
             valid = False
         if not valid:
             raise ValueOutOfRange(f"orders {o} are not four nibbles")
+        if type(grid.cells) is not tuple:  # the reader makes a tuple
+            raise MalformedCell(f"cells of type {type(grid.cells).__name__} do not read back as a tuple")
         for cell in grid.cells:
             try:
                 raw = memo.get(cell)
@@ -208,7 +200,7 @@ def write_cipher(msg: CipherMessage) -> bytes:
             if raw is None:
                 raw = memo[cell] = _encode_checked(cell)
             out += raw
-        _check_tags(grid.cells, valid_tags)
+        check_tags(bytes(map(itemgetter(0), grid.cells)))
     return bytes(out)
 
 
@@ -254,7 +246,6 @@ def read_cipher(data: bytes) -> CipherMessage:
     data = bytes(data)  # memo keys must hash, whatever bytes-like came in
     sizes = _WIRE_SIZES
     memo: dict[bytes, Cell] = {}
-    valid_tags: set[bytes] = set()
     pos = HEADER_BYTES
     grids = []
     for _ in range(block_count):
@@ -278,7 +269,7 @@ def read_cipher(data: bytes) -> CipherMessage:
                 memo[raw] = cell
             cells.append(cell)
             pos = end
-        _check_tags(cells, valid_tags)
+        check_tags(bytes(map(itemgetter(0), cells)))
         grids.append(CipherGrid((a >> 4, a & 15, b >> 4, b & 15), tuple(cells), rounds))
     if pos != len(data):
         raise MalformedCell(f"{len(data) - pos} trailing bytes after last block")

@@ -278,7 +278,7 @@ def test_check_tags_passes_exactly_the_tag_strings_the_oracle_passes():
     for tags in strings:
         want = _is_inventory(tags)
         verdicts.append(want)
-        for form in (list(tags), bytes(tags)):
+        for form in (tuple(tags), bytes(tags)):
             if want:
                 check_tags(form)
             else:
@@ -287,7 +287,7 @@ def test_check_tags_passes_exactly_the_tag_strings_the_oracle_passes():
     assert verdicts.count(True) > len(cipher._DATA_TAGS) and verdicts.count(False) > 2 * len(cipher._DATA_TAGS)
 
 
-@pytest.mark.parametrize("form", [list, bytes])
+@pytest.mark.parametrize("form", [tuple, bytes])
 def test_check_tags_names_a_tag_outside_the_kinds(form):
     tags = [ASM] * 8 + list(min(cipher._DATA_TAGS))
     tags[3] = 9
@@ -447,9 +447,12 @@ def raisers():
 
 def test_each_error_class_names_one_raised_fault():
     """RoundCountMismatch means a stale key, which only the round check
-    finds; every concrete error class is raised somewhere."""
+    finds, and InventoryMismatch a grid that is not the 20 logical items,
+    which only check_tags decides; every concrete error class is raised
+    somewhere."""
     found = raisers()
     assert found["RoundCountMismatch"] == {"cipher.check_rounds"}
+    assert found["InventoryMismatch"] == {"cipher.check_tags"}
     concrete = {
         name
         for name, value in vars(errors).items()

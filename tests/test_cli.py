@@ -405,6 +405,45 @@ def test_failed_cipher_encoding_leaves_key_and_cipher(tmp_path, golden_key_file,
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
 
 
+def test_harden_failing_between_its_replacements_leaves_a_recoverable_key(tmp_path, golden_key_file, monkeypatch):
+    """The key is replaced first, so a failed cipher replacement exits 3
+    with the cipher untouched and the key one word deeper, which decrypt
+    refuses (exit 2). README's recipe gives back the key: drop the last 4
+    bytes and lower the sticky count, byte 4, by one."""
+    key = tmp_path / "k.cmk"
+    shutil.copy(golden_key_file, key)
+    plain, cipher, out = tmp_path / "p.bin", tmp_path / "c.cmc", tmp_path / "o.bin"
+    plain.write_bytes(b"sixteen byte msg")
+    assert main(["encrypt", "--key", str(key), "--in", str(plain), "--out", str(cipher)]) == 0
+    key_before, cipher_before = key.read_bytes(), cipher.read_bytes()
+    replace_file, calls = cli._replace_file, []
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    def fail_second(path, data):
+        calls.append(path)
+        if len(calls) == 2:  # the rename of the cipher's temp file fails
+            monkeypatch.setattr(os, "replace", refuse)
+        replace_file(path, data)
+
+    monkeypatch.setattr(cli, "_replace_file", fail_second)
+    assert main(["harden", "--key", str(key), "--cipher", str(cipher)]) == 3
+    monkeypatch.undo()
+    assert calls == [str(key), str(cipher)]
+    assert cipher.read_bytes() == cipher_before
+    grown = key.read_bytes()
+    assert len(grown) == len(key_before) + 4 and grown[4] == key_before[4] + 1
+    assert main(["decrypt", "--key", str(key), "--in", str(cipher), "--out", str(out)]) == 2
+    recovered = bytearray(grown[:-4])
+    recovered[4] -= 1
+    assert bytes(recovered) == key_before
+    key.write_bytes(recovered)
+    assert main(["decrypt", "--key", str(key), "--in", str(cipher), "--out", str(out)]) == 0
+    assert out.read_bytes() == plain.read_bytes()
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 @pytest.mark.parametrize("sub", ["bruteforce", "compression", "avalanche"])
 def test_analyze_help_lists_the_shared_flags(sub, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -149,7 +149,7 @@ def reference_data_cells(cb: PrimeBlock, key) -> tuple:
 
 def check_items(cells):
     """Raise InventoryMismatch unless `cells` are the 20 logical items."""
-    check_tags([c[0] for c in cells])
+    check_tags(tuple(c[0] for c in cells))
 
 
 def scramble(cells, slots):

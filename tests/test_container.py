@@ -246,6 +246,8 @@ WRITER_REFUSALS = {
     "sm_stray_byte": (_write_edited(_first_of(SM, (SM, ((1, 2, 3),)))), MalformedCell),
     "sm_short_pair": (_write_edited(_first_of(SM, (SM, ((1,),)))), MalformedCell),
     "sm_list_of_pairs": (_write_edited(_first_of(SM, (SM, [(1, 2)]))), MalformedCell),
+    "orders_list": (_write_edited(lambda g: g._replace(orders=list(g.orders))), ValueOutOfRange),
+    "cells_list": (_write_edited(lambda g: g._replace(cells=list(g.cells))), MalformedCell),
     "unknown_tag": (_write_edited(_first_of(TM, (9,))), MalformedCell),
     "short_asm": (_write_edited(_first_of(ASM, (ASM, 1))), MalformedCell),
     "rm_over_int32": (_write_edited(_first_of(RM, (RM, 2**40))), MalformedCell),
@@ -385,7 +387,7 @@ def diagnose_cipher(data):
         for _ in range(N_CELLS):
             cell, pos = container._decode_cell(data, pos)
             cells.append(cell)
-        check_tags([cell[0] for cell in cells])
+        check_tags(tuple(cell[0] for cell in cells))
         grids.append(CipherGrid((a >> 4, a & 15, b >> 4, b & 15), tuple(cells), rounds))
     if pos != len(data):
         raise MalformedCell(f"{len(data) - pos} trailing bytes after last block")
