@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 
 from .codec import PRIMES
 from .engine import AddSubMatrix, CompressedBlock, compress_block, decompress_block
-from .errors import IntegrityFailure, InventoryMismatch, RoundCountMismatch, ValueOutOfRange
+from .errors import CryptompressError, IntegrityFailure, InventoryMismatch, RoundCountMismatch, ValueOutOfRange
 from .keyschedule import KeyChain, derive_material, extend_key
 
 N_KINDS = 5
@@ -267,15 +267,19 @@ def decrypt_block(grid: CipherGrid, chain: KeyChain) -> int:
 
 
 def harden_message(
-    grids: Sequence[CipherGrid], chain: KeyChain, rng: random.Random | None = None
-) -> tuple[tuple[CipherGrid, ...], KeyChain]:
+    grids: Sequence[CipherGrid] | bytes, chain: KeyChain, rng: random.Random | None = None
+) -> tuple[tuple[CipherGrid, ...] | bytes, KeyChain]:
     """Respond to a failed attempt: grow the chain by one 32-bit sticky
     key and rewrite the sequence portion of every block's ciphertext.
 
     Each grid opens through decrypt's slot gate first and raises what it
     raises. The round, a swapping seal under nswap(word), rewrites the four
     logical sequence-list cells; encrypt_block's layout puts them on the wire.
+    Given a CMC1 file's bytes instead of grids, it returns the file's
+    rewritten bytes (_harden_file).
     """
+    if isinstance(grids, (bytes, bytearray, memoryview)):
+        return _harden_file(bytes(grids), chain, rng)
     new_chain = extend_key(chain, rng)
     word = _nswap(new_chain.sticky[-1])
     out = []
@@ -285,3 +289,59 @@ def harden_message(
             c[SM_BASE + i] = (SM, seal_pairs(c[SM_BASE + i][1], word, True, i))
         out.append(CipherGrid(grid.orders, tuple(map(c.__getitem__, key.at)), grid.sticky_rounds + 1))
     return tuple(out), new_chain
+
+
+def _harden_file(data: bytes, chain: KeyChain, rng: random.Random | None) -> tuple[bytes, KeyChain]:
+    """harden_message on a CMC1 file's bytes, in one walk: each distinct
+    block opens through the slot gate once, first seen first, and each
+    distinct SM cell is resealed once and written over its own bytes, which
+    keeps its length. No grid is rebuilt, and no other byte changes but the
+    header's round count.
+
+    It raises what reading the whole file and then hardening its grids
+    raises. A container error anywhere in the file comes first, then a
+    failure to draw the new word, then the first gate failure; the last two
+    are held until the walk ends. A grown chain that no key file holds is
+    refused last, as container.write_key refuses it."""
+    from . import container  # container imports this module
+
+    rounds, block_count, tail_bits = container.read_header(data)
+    failure = None
+    try:
+        new_chain = extend_key(chain, rng)
+        word = _nswap(new_chain.sticky[-1])
+    except CryptompressError as exc:
+        failure = exc
+    key = compile_key(chain)
+    wire = sorted(key.slots[SM_BASE : 4 * N_SLOTS])  # the SM cells' wire positions, in wire order
+    primes = [key.at[w] - SM_BASE for w in wire]
+    sealed: list[dict[Cell, bytes]] = [{} for _ in primes]  # by prime: each SM cell's new bytes
+    hardened: dict[bytes, bytes] = {}  # each distinct block's bytes: its new bytes
+    out = bytearray(container.HEADER_BYTES)
+    end = container.HEADER_BYTES
+    for grid, block_end, sm_at in container.walk_blocks(data, rounds, block_count):
+        start, end = end, block_end
+        if failure is not None:
+            continue
+        raw = data[start:end]
+        new_block = hardened.get(raw)
+        if new_block is None:
+            try:
+                _open_grid(grid, chain)
+            except CryptompressError as exc:
+                failure = exc
+                continue
+            new_block = bytearray(raw)
+            for i, w, pos in zip(primes, wire, sm_at):
+                cell = grid.cells[w]
+                new = sealed[i].get(cell)
+                if new is None:
+                    new = sealed[i][cell] = container._encode_cell((SM, seal_pairs(cell[1], word, True, i)))
+                new_block[pos - start : pos - start + len(new)] = new
+            new_block = hardened[raw] = bytes(new_block)
+        out += new_block
+    if failure is not None:
+        raise failure
+    container.write_key(new_chain)  # a chain too deep for its key file must not get a cipher
+    out[: container.HEADER_BYTES] = container.pack_header(rounds + 1, block_count, tail_bits)
+    return bytes(out), new_chain

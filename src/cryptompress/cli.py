@@ -91,13 +91,13 @@ def _load_chain(path: str) -> KeyChain:
     return container.read_key(_read_file(path))
 
 
-def _read_cipher_for(path: str, chain: KeyChain) -> container.CipherMessage:
-    """Parse a cipher file once its header's sticky-round byte matches the
+def _read_cipher_for(path: str, chain: KeyChain) -> bytes:
+    """A cipher file's bytes once its header's sticky-round byte matches the
     chain: a stale key is refused before any block is parsed."""
     data = _read_file(path)
     rounds, _, _ = container.read_header(data)
     check_rounds(rounds, chain)
-    return container.read_cipher(data)
+    return data
 
 
 def _parse_block_arg(text: str) -> int:
@@ -151,7 +151,7 @@ def _cmd_encrypt(args) -> int:
 
 def _cmd_decrypt(args) -> int:
     chain = _load_chain(args.key)
-    msg = _read_cipher_for(args.infile, chain)
+    msg = container.read_cipher(_read_cipher_for(args.infile, chain))
     # each distinct grid is decrypted once per call; a grid that fails is
     # not memoised, so the first bad block raises its own error
     blocks = tuple(map(functools.cache(lambda g: decrypt_block(g, chain)), msg.grids))
@@ -162,20 +162,14 @@ def _cmd_decrypt(args) -> int:
 
 def _cmd_harden(args) -> int:
     chain = _load_chain(args.key)
-    msg = _read_cipher_for(args.cipher, chain)
-    # each distinct grid is hardened once per call, in first-seen order, so
-    # the first bad grid in the file still raises its own error
-    index: dict[CipherGrid, int] = {}
-    at = [index.setdefault(g, len(index)) for g in msg.grids]
-    hardened, new_chain = harden_message(tuple(index), chain)
-    grids = tuple(map(hardened.__getitem__, at))
+    # one pass over the file's bytes: each distinct block is checked once, in
+    # first-seen order, so the first bad block in the file raises its own error
+    cipher_bytes, new_chain = harden_message(_read_cipher_for(args.cipher, chain), chain)
     # Both files are encoded before either is replaced, so a write that
     # fails leaves both untouched. Key first: once the new sticky word is
     # durable the rewritten cipher is always recoverable; the reverse order
     # could strand the cipher.
-    key_bytes = container.write_key(new_chain)
-    cipher_bytes = container.write_cipher(container.CipherMessage(grids=grids, tail_bits=msg.tail_bits))
-    _replace_file(args.key, key_bytes)
+    _replace_file(args.key, container.write_key(new_chain))
     _replace_file(args.cipher, cipher_bytes)
     print(
         f"hardened: key now {new_chain.key_bits} bits, {len(new_chain.sticky)} sticky round(s)",

@@ -14,7 +14,7 @@ Each cell is a record led by its tag byte (_WIRE below); an SM record,
 import struct
 from itertools import chain
 from operator import itemgetter, le
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .cipher import (
     KIND_NAMES,
@@ -161,6 +161,14 @@ def _encode_checked(cell: Cell) -> bytes:
     return raw
 
 
+HEADER_BYTES = 11
+
+
+def pack_header(rounds: int, block_count: int, tail_bits: int) -> bytes:
+    """The fixed-size CMC1 header that read_header reads back."""
+    return CIPHER_MAGIC + struct.pack(">BBIB", CIPHER_VERSION, rounds, block_count, tail_bits)
+
+
 def write_cipher(msg: CipherMessage) -> bytes:
     if not msg.grids:
         raise MalformedCell("a cipher file needs at least one block")
@@ -170,11 +178,7 @@ def write_cipher(msg: CipherMessage) -> bytes:
         raise ValueOutOfRange("blocks disagree about sticky depth")
     if not isinstance(rounds, int) or not 0 <= rounds <= 255:
         raise ValueOutOfRange(f"sticky rounds must be in [0,255], got {rounds}")
-    out = bytearray(CIPHER_MAGIC)
-    out.append(CIPHER_VERSION)
-    out.append(rounds)
-    out += struct.pack(">I", len(msg.grids))
-    out.append(msg.tail_bits)
+    out = bytearray(pack_header(rounds, len(msg.grids), msg.tail_bits))
     # Each distinct cell is checked once, through a memo for this call: the writer refuses every
     # grid the reader would refuse or read back unequal, with the reader's error if any. The memo
     # refuses (RM, 22.0) alone but writes it as (RM, 22)'s bytes after an equal int cell.
@@ -202,9 +206,6 @@ def write_cipher(msg: CipherMessage) -> bytes:
             out += raw
         check_tags(bytes(map(itemgetter(0), grid.cells)))
     return bytes(out)
-
-
-HEADER_BYTES = 11
 
 
 def read_header(data: bytes) -> tuple[int, int, int]:
@@ -235,31 +236,34 @@ def read_header(data: bytes) -> tuple[int, int, int]:
 _WIRE_SIZES = tuple(wire.size for wire in _WIRE)
 
 
-def read_cipher(data: bytes) -> CipherMessage:
-    """Parse a whole CMC1 file. Each cell's extent comes from its tag, and
-    its exact bytes map to its tuple through a memo that lives for this
-    call: cells repeat heavily within a file (every block carries the same
-    8 matrix strings), so each distinct cell is decoded once, and so is
-    each distinct tag string checked. A cell the memo misses is decoded in
-    place, so a bad cell raises its error with its file offset."""
-    rounds, block_count, tail_bits = read_header(data)
-    data = bytes(data)  # memo keys must hash, whatever bytes-like came in
+def walk_blocks(data: bytes, rounds: int, block_count: int) -> Iterator[tuple[CipherGrid, int, list[int]]]:
+    """Walk the blocks of a CMC1 file whose header read_header has passed:
+    yield each block's grid, the offset just past it and the offsets of its
+    four SM cells, then refuse trailing bytes. `data` must be bytes.
+
+    Each cell's extent comes from its tag, and its exact bytes map to its
+    tuple through a memo that lives for this walk: cells repeat heavily
+    within a file (every block carries the same 8 matrix strings), so each
+    distinct cell is decoded once, and so is each distinct tag string
+    checked. A cell the memo misses is decoded in place, so a bad cell
+    raises its error with its file offset."""
     sizes = _WIRE_SIZES
     memo: dict[bytes, Cell] = {}
     pos = HEADER_BYTES
-    grids = []
     for _ in range(block_count):
         if pos + 2 > len(data):
             raise _truncated(data, pos, 2)
         a, b = data[pos], data[pos + 1]
         pos += 2
         cells = []
+        sm_at = []
         for _ in range(N_CELLS):
             try:
                 tag = data[pos]
                 end = pos + sizes[tag]
                 if tag == SM:
                     end += 2 * data[pos + 1]
+                    sm_at.append(pos)
             except IndexError:  # an unknown tag or the end of the file: no memo key is empty
                 end = pos
             raw = data[pos:end]
@@ -270,10 +274,17 @@ def read_cipher(data: bytes) -> CipherMessage:
             cells.append(cell)
             pos = end
         check_tags(bytes(map(itemgetter(0), cells)))
-        grids.append(CipherGrid((a >> 4, a & 15, b >> 4, b & 15), tuple(cells), rounds))
+        yield CipherGrid((a >> 4, a & 15, b >> 4, b & 15), tuple(cells), rounds), pos, sm_at
     if pos != len(data):
         raise MalformedCell(f"{len(data) - pos} trailing bytes after last block")
-    return CipherMessage(grids=tuple(grids), tail_bits=tail_bits)
+
+
+def read_cipher(data: bytes) -> CipherMessage:
+    """Parse a whole CMC1 file: its header, then every block through walk_blocks."""
+    rounds, block_count, tail_bits = read_header(data)
+    # memo keys must hash, whatever bytes-like came in
+    grids = tuple([grid for grid, _, _ in walk_blocks(bytes(data), rounds, block_count)])
+    return CipherMessage(grids=grids, tail_bits=tail_bits)
 
 
 def compressed_size_bits(cb) -> int:

@@ -1,4 +1,5 @@
 import ast
+import json
 import random
 from pathlib import Path
 
@@ -501,6 +502,67 @@ def test_harden_of_repeated_and_list_holding_grids_matches_one_grid_at_a_time():
     listed = [grids[0]._replace(cells=list(cells)), grids[0]._replace(cells=(*cells[:j], (SM, list(cells[j][1])), *cells[j + 1 :]))]
     again, _ = cm.harden_message((*listed, grids[0], *listed), chain, random.Random(7))
     assert again == (hardened[0],) * 5
+
+
+def _harden_outcome(harden):
+    """(new cipher bytes, grown chain), or the error class and message."""
+    try:
+        return harden()
+    except errors.CryptompressError as exc:
+        return type(exc), str(exc)
+
+
+def _harden_both_ways(data: bytes, chain, seed: int) -> tuple:
+    """harden_message on a CMC1 file's bytes, and on the grids read_cipher
+    reads from them with write_cipher writing the result, under the same
+    seeded word."""
+    from cryptompress import container
+
+    def by_grids():
+        msg = container.read_cipher(data)
+        grids, grown = cm.harden_message(msg.grids, chain, random.Random(seed))
+        return container.write_cipher(container.CipherMessage(grids, msg.tail_bits)), grown
+
+    return _harden_outcome(lambda: cm.harden_message(data, chain, random.Random(seed))), _harden_outcome(by_grids)
+
+
+def test_file_harden_matches_the_grid_path_at_every_depth():
+    """Seeded uniform and repeating payloads at sticky depths 0-8 give the
+    same bytes and chain both ways, also from a bytearray."""
+    from cryptompress import container
+
+    rng = random.Random(44)
+    for depth in range(9):
+        chain = random_chain(rng, depth)
+        for payload in (rng.randbytes(150), bytes(60) + rng.randbytes(20) + bytes(90) + rng.randbytes(7)):
+            msg = cm.segment_message(payload)
+            grids = tuple(cm.encrypt_block(b, chain) for b in msg.blocks)
+            data = container.write_cipher(container.CipherMessage(grids, msg.tail_bits))
+            by_file, by_grids = _harden_both_ways(data, chain, depth)
+            assert isinstance(by_file[0], bytes) and len(by_file[0]) == len(data)
+            assert by_file == by_grids
+            assert cm.harden_message(bytearray(data), chain, random.Random(depth)) == by_grids
+
+
+def test_file_harden_fails_as_the_grid_path_on_every_locked_mutation():
+    """Every cipher mutation of the parse lock, under its depth-2 key and
+    under a key one word short: the same bytes and chain both ways, or the
+    same error class and message."""
+    from cryptompress import container
+    from test_parse_verdicts import FIXTURE, mutate
+
+    with open(FIXTURE) as fh:
+        locked = json.load(fh)
+    cipher, chain = bytes.fromhex(locked["cipher_hex"]), container.read_key(bytes.fromhex(locked["key_hex"]))
+    short = chain._replace(sticky=chain.sticky[:-1])
+    verdicts = set()
+    for n, entry in enumerate(locked["cipher_mutations"]):
+        data = mutate(cipher, *entry[:3])
+        for key in (chain, short):
+            by_file, by_grids = _harden_both_ways(data, key, n)
+            assert by_file == by_grids, entry
+            verdicts.add(by_file[0] if isinstance(by_file[0], type) else "ok")
+    assert {"ok", IntegrityFailure, RoundCountMismatch, InventoryMismatch, errors.Truncated} <= verdicts
 
 
 @pytest.mark.parametrize("edit", ["append_unknown_tag", "append_empty", "replace_with_unknown_tag"])

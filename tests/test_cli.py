@@ -316,6 +316,7 @@ def test_stale_key_refused_from_header_before_any_block_is_parsed(tmp_path, gold
         raise AssertionError("a block was parsed")
 
     monkeypatch.setattr(container, "read_cipher", no_block_parsing)
+    monkeypatch.setattr(container, "walk_blocks", no_block_parsing)
     assert main(["decrypt", "--key", str(stale), "--in", str(cipher), "--out", str(tmp_path / "o")]) == 2
     assert main(["harden", "--key", str(stale), "--cipher", str(cipher)]) == 2
 
@@ -388,7 +389,7 @@ def test_harden_replaces_the_targets_of_symlinked_files(tmp_path, golden_key_fil
 
 def test_failed_cipher_encoding_leaves_key_and_cipher(tmp_path, golden_key_file, monkeypatch):
     """harden encodes both files before it replaces either, so a cipher
-    that fails to encode leaves both files as they were."""
+    whose resealed cells fail to encode leaves both files as they were."""
     key = tmp_path / "k.cmk"
     shutil.copy(golden_key_file, key)
     plain = tmp_path / "p.bin"
@@ -397,10 +398,10 @@ def test_failed_cipher_encoding_leaves_key_and_cipher(tmp_path, golden_key_file,
     assert main(["encrypt", "--key", str(key), "--in", str(plain), "--out", str(cipher)]) == 0
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
 
-    def refuse(msg):
+    def refuse(cell):
         raise ValueOutOfRange("cipher refused")
 
-    monkeypatch.setattr(container, "write_cipher", refuse)
+    monkeypatch.setattr(container, "_encode_cell", refuse)
     assert main(["harden", "--key", str(key), "--cipher", str(cipher)]) == 3
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
 
@@ -591,7 +592,7 @@ def test_decrypt_reports_the_first_bad_block_when_it_repeats(tmp_path, golden_ke
 
 
 def test_harden_hardens_each_distinct_grid_once(tmp_path, golden_key_file, monkeypatch):
-    """harden passes each distinct grid once, in first-seen order, and
+    """harden opens each distinct grid once, in first-seen order, and
     writes what hardening every grid under the same sticky word writes."""
     chain = container.read_key(Path(golden_key_file).read_bytes())
     plain, cipher_file = tmp_path / "p.bin", tmp_path / "c.cmc"
@@ -599,15 +600,18 @@ def test_harden_hardens_each_distinct_grid_once(tmp_path, golden_key_file, monke
     assert main(["encrypt", "--key", golden_key_file, "--in", str(plain), "--out", str(cipher_file)]) == 0
     msg = container.read_cipher(cipher_file.read_bytes())
     assert len(set(msg.grids)) < len(msg.grids) // 2
-    calls = []
+    opened = []
+    open_grid, extend_key = cipher._open_grid, cipher.extend_key
 
-    def seeded(grids, chain):
-        calls.append(grids)
-        return cm.harden_message(grids, chain, random.Random(21))
+    def recording(grid, chain):
+        opened.append(grid)
+        return open_grid(grid, chain)
 
-    monkeypatch.setattr(cli, "harden_message", seeded)
+    monkeypatch.setattr(cipher, "_open_grid", recording)
+    monkeypatch.setattr(cipher, "extend_key", lambda chain, rng=None: extend_key(chain, random.Random(21)))
     assert main(["harden", "--key", golden_key_file, "--cipher", str(cipher_file)]) == 0
-    assert calls == [tuple(dict.fromkeys(msg.grids))]
+    assert opened == list(dict.fromkeys(msg.grids))
+    monkeypatch.undo()
     grids, grown = cm.harden_message(msg.grids, chain, random.Random(21))
     assert cipher_file.read_bytes() == container.write_cipher(container.CipherMessage(grids, msg.tail_bits))
     assert container.read_key(Path(golden_key_file).read_bytes()) == grown
@@ -644,4 +648,65 @@ def test_harden_reports_the_first_bad_grid_when_it_repeats(tmp_path, golden_key_
     assert main(["harden", "--key", golden_key_file, "--cipher", str(cipher_file)]) == 2
     assert opened == [grids[0], first]
     assert capsys.readouterr().err == f"integrity failure: {exc.value}\n"
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_harden_at_depth_255_is_refused_and_changes_nothing(tmp_path, capsys):
+    """A key file holds at most 255 sticky words, so harden refuses a key
+    and cipher at depth 255 with exit 3 and leaves both files as they were."""
+    rng = random.Random(23)
+    chain = cm.KeyChain(base=cm.generate_key(rng), sticky=tuple(rng.getrandbits(32) for _ in range(255)))
+    key, plain, cipher_file = tmp_path / "k.cmk", tmp_path / "p.bin", tmp_path / "c.cmc"
+    key.write_bytes(container.write_key(chain))
+    plain.write_bytes(rng.randbytes(40))
+    assert main(["encrypt", "--key", str(key), "--in", str(plain), "--out", str(cipher_file)]) == 0
+    assert container.read_header(cipher_file.read_bytes())[0] == 255
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    capsys.readouterr()
+    assert main(["harden", "--key", str(key), "--cipher", str(cipher_file)]) == 3
+    assert capsys.readouterr().err == "error: at most 255 sticky keys fit the key file\n"
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_a_truncated_last_block_outranks_a_slot_fault_in_block_3(tmp_path, golden_key_file, capsys, monkeypatch):
+    """The whole file is checked before a slot fault is reported: with the
+    last block truncated, decrypt, harden and inspect each exit 3 with the
+    truncation, and harden changes no file. Without the truncation harden
+    exits 2 with block 3's error and opens no grid after block 3."""
+    chain = container.read_key(Path(golden_key_file).read_bytes())
+    rng = random.Random(24)
+    grids = [cm.encrypt_block(rng.getrandbits(30), chain) for _ in range(8)]
+    grids[3] = _swap_first(grids[3], ASM, SM)
+    with pytest.raises(IntegrityFailure) as slot_fault:
+        cm.decrypt_block(grids[3], chain)
+    whole = container.write_cipher(container.CipherMessage(tuple(grids), 30))
+    cut = whole[:-3]
+    with pytest.raises(cm.errors.Truncated) as truncated:
+        container.read_cipher(cut)
+    cipher_file, out = tmp_path / "c.cmc", tmp_path / "o.bin"
+    cipher_file.write_bytes(cut)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    capsys.readouterr()
+    for argv in (
+        ["decrypt", "--key", golden_key_file, "--in", str(cipher_file), "--out", str(out)],
+        ["harden", "--key", golden_key_file, "--cipher", str(cipher_file)],
+        ["inspect", "--cipher", str(cipher_file)],
+    ):
+        assert main(argv) == 3, argv
+        assert capsys.readouterr().err == f"error: {truncated.value}\n", argv
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    cipher_file.write_bytes(whole)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    opened = []
+    open_grid = cipher._open_grid
+
+    def recording(grid, chain):
+        opened.append(grid)
+        return open_grid(grid, chain)
+
+    monkeypatch.setattr(cipher, "_open_grid", recording)
+    assert main(["harden", "--key", golden_key_file, "--cipher", str(cipher_file)]) == 2
+    assert capsys.readouterr().err == f"integrity failure: {slot_fault.value}\n"
+    assert opened == grids[:4]
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
