@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cryptompress as cm
-from cryptompress import cipher, errors
+from cryptompress import cipher, container, errors
 from cryptompress.cipher import (
     ASM,
     EMPTY,
@@ -32,6 +32,7 @@ from cryptompress.keyschedule import BaseKey, KeyChain, extend_key, generate_key
 from test_compress_oracle import SequenceEvent, scramble, unscramble
 from test_decrypt_oracle import open_pairs
 from test_keyschedule import sticky_nibbles
+from test_parse_verdicts import FIXTURE, mutate
 
 PRIMES = (2, 3, 5, 7)
 st_orders = st.tuples(*[st.integers(0, 15)] * 4)
@@ -516,8 +517,6 @@ def _harden_both_ways(data: bytes, chain, seed: int) -> tuple:
     """harden_message on a CMC1 file's bytes, and on the grids read_cipher
     reads from them with write_cipher writing the result, under the same
     seeded word."""
-    from cryptompress import container
-
     def by_grids():
         msg = container.read_cipher(data)
         grids, grown = cm.harden_message(msg.grids, chain, random.Random(seed))
@@ -529,8 +528,6 @@ def _harden_both_ways(data: bytes, chain, seed: int) -> tuple:
 def test_file_harden_matches_the_grid_path_at_every_depth():
     """Seeded uniform and repeating payloads at sticky depths 0-8 give the
     same bytes and chain both ways, also from a bytearray."""
-    from cryptompress import container
-
     rng = random.Random(44)
     for depth in range(9):
         chain = random_chain(rng, depth)
@@ -548,9 +545,6 @@ def test_file_harden_fails_as_the_grid_path_on_every_locked_mutation():
     """Every cipher mutation of the parse lock, under its depth-2 key and
     under a key one word short: the same bytes and chain both ways, or the
     same error class and message."""
-    from cryptompress import container
-    from test_parse_verdicts import FIXTURE, mutate
-
     with open(FIXTURE) as fh:
         locked = json.load(fh)
     cipher, chain = bytes.fromhex(locked["cipher_hex"]), container.read_key(bytes.fromhex(locked["key_hex"]))
