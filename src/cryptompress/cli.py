@@ -143,8 +143,9 @@ def _cmd_encrypt(args) -> int:
     chain = _load_chain(args.key)
     payload = _read_file(args.infile)
     msg = codec.segment_message(payload)
-    # blocks are ECB-like: each distinct block is encrypted once per call
-    grids = tuple(map(functools.cache(lambda b: encrypt_block(b, chain)), msg.blocks))
+    # Blocks are ECB-like: a block is encrypted once while an LRU holds it,
+    # and the writer takes each grid as it comes, so no list of grids is built.
+    grids = map(functools.lru_cache(maxsize=256)(lambda b: encrypt_block(b, chain)), msg.blocks)
     _write_file(args.out, container.write_cipher(container.CipherMessage(grids=grids, tail_bits=msg.tail_bits)))
     return 0
 

@@ -14,7 +14,7 @@ Each cell is a record led by its tag byte (_WIRE below); an SM record,
 import struct
 from itertools import chain
 from operator import itemgetter, le
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .cipher import (
     KIND_NAMES,
@@ -50,9 +50,11 @@ CIPHER_VERSION = 1
 
 class CipherMessage(NamedTuple):
     """A serialized-ready ciphertext: per-block grids sharing one sticky
-    depth, plus the tail-bit count of the final block."""
+    depth, plus the tail-bit count of the final block. read_cipher gives a
+    tuple of grids; write_cipher takes any iterable of them, a one-shot
+    iterator too, and consumes it once. `sticky_rounds` needs a sequence."""
 
-    grids: tuple[CipherGrid, ...]
+    grids: Iterable[CipherGrid]
     tail_bits: int
 
     @property
@@ -135,12 +137,17 @@ def _decode_cell(data: bytes, pos: int) -> tuple[Cell, int]:
     return cell, end
 
 
+def _check_tail_bits(tail_bits: int) -> None:
+    """Raise MalformedCell unless a last block can hold `tail_bits` bits."""
+    if not isinstance(tail_bits, int) or not 1 <= tail_bits <= BLOCK_BITS:
+        raise MalformedCell(f"tail_bits must be in [1,{BLOCK_BITS}], got {tail_bits}")
+
+
 def _check_tail(block_count: int, tail_bits: int) -> None:
     """Raise MalformedCell unless the last of `block_count` blocks holds
     `tail_bits` bits and the payload ends on a whole byte, as every payload
     that segment_message cuts does; the writer and the reader share it."""
-    if not isinstance(tail_bits, int) or not 1 <= tail_bits <= BLOCK_BITS:
-        raise MalformedCell(f"tail_bits must be in [1,{BLOCK_BITS}], got {tail_bits}")
+    _check_tail_bits(tail_bits)
     if (BLOCK_BITS * (block_count - 1) + tail_bits) % 8:
         raise MalformedCell(f"{block_count} blocks with {tail_bits} tail bits are not whole bytes")
 
@@ -169,21 +176,39 @@ def pack_header(rounds: int, block_count: int, tail_bits: int) -> bytes:
     return CIPHER_MAGIC + struct.pack(">BBIB", CIPHER_VERSION, rounds, block_count, tail_bits)
 
 
+# write_cipher's cell memo is cleared when it holds this many cells, so a
+# stream of distinct cells costs the writer a bounded memo.
+CELL_MEMO_MAX = 4096
+
+
 def write_cipher(msg: CipherMessage) -> bytes:
-    if not msg.grids:
+    """The CMC1 bytes of `msg`, whose grids are consumed once, one at a time,
+    so no list of them is needed. Raises, first match wins: MalformedCell
+    for no blocks, then for tail bits outside [1,30]; ValueOutOfRange for a
+    first grid's sticky rounds not an int in [0,255]; then per grid, in stream
+    order, ValueOutOfRange when its rounds differ from the first grid's or
+    its orders are not four nibbles, MalformedCell or the reader's error
+    for a cell the reader would refuse or read back unequal, and
+    InventoryMismatch for its tag string. After the last grid, MalformedCell
+    when the blocks and tail bits are not whole bytes; the header, with its
+    block count, is packed then."""
+    grids = iter(msg.grids)
+    first = next(grids, None)
+    if first is None:
         raise MalformedCell("a cipher file needs at least one block")
-    _check_tail(len(msg.grids), msg.tail_bits)
-    rounds = msg.grids[0].sticky_rounds
-    if any(g.sticky_rounds != rounds for g in msg.grids):
-        raise ValueOutOfRange("blocks disagree about sticky depth")
+    _check_tail_bits(msg.tail_bits)
+    rounds = first.sticky_rounds
     if not isinstance(rounds, int) or not 0 <= rounds <= 255:
         raise ValueOutOfRange(f"sticky rounds must be in [0,255], got {rounds}")
-    out = bytearray(pack_header(rounds, len(msg.grids), msg.tail_bits))
-    # Each distinct cell is checked once, through a memo for this call: the writer refuses every
-    # grid the reader would refuse or read back unequal, with the reader's error if any. The memo
-    # refuses (RM, 22.0) alone but writes it as (RM, 22)'s bytes after an equal int cell.
+    out = bytearray(HEADER_BYTES)
+    # Each distinct cell is checked once while the memo holds it: the writer refuses every grid
+    # the reader would refuse or read back unequal, with the reader's error if any. The memo
+    # refuses (RM, 22.0) alone but writes it as (RM, 22)'s bytes after an equal int cell since
+    # the memo's last clear.
     memo: dict[Cell, bytes] = {}
-    for grid in msg.grids:
+    for count, grid in enumerate(chain((first,), grids), 1):
+        if grid.sticky_rounds != rounds:
+            raise ValueOutOfRange("blocks disagree about sticky depth")
         o = grid.orders
         try:  # a float equal to a nibble passes the set test, not the shift
             valid = type(o) is tuple and len(o) == 4 and _NIBBLES.issuperset(o)
@@ -202,9 +227,13 @@ def write_cipher(msg: CipherMessage) -> bytes:
             except TypeError:  # the reader only makes hashable cells
                 raise MalformedCell(f"cell {cell!r} does not read back as itself") from None
             if raw is None:
+                if len(memo) >= CELL_MEMO_MAX:
+                    memo.clear()
                 raw = memo[cell] = _encode_checked(cell)
             out += raw
         check_tags(bytes(map(itemgetter(0), grid.cells)))
+    _check_tail(count, msg.tail_bits)
+    out[:HEADER_BYTES] = pack_header(rounds, count, msg.tail_bits)
     return bytes(out)
 
 

@@ -566,6 +566,25 @@ def test_encrypt_and_decrypt_compute_each_distinct_block_once(tmp_path, golden_k
     assert sorted(calls["decrypt"]) == sorted(set(grids))
 
 
+def test_encrypt_peak_memory_is_a_small_multiple_of_its_cipher_file(tmp_path, golden_key_file):
+    """encrypt streams its grids through the writer: on a seeded 32 KiB
+    uniform payload (8,738 distinct blocks) the traced peak stays under 8
+    times the cipher file. Holding every grid before the write measured
+    24 times, streaming them about 5 times."""
+    import tracemalloc
+
+    plain, cipher_file = tmp_path / "p.bin", tmp_path / "c.cmc"
+    plain.write_bytes(random.Random(32).randbytes(32 * 1024))
+    tracemalloc.start()
+    try:
+        assert main(["encrypt", "--key", golden_key_file, "--in", str(plain), "--out", str(cipher_file)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = cipher_file.stat().st_size
+    assert peak < 8 * size, (peak, size)
+
+
 def _bump_first_outcome(grid, by):
     cells = list(grid.cells)
     i = next(i for i, c in enumerate(cells) if c[0] == RM)

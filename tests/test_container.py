@@ -185,6 +185,71 @@ def _encode_without_checks(msg):
     return bytes(out)
 
 
+def _one_shot(grids):
+    """The grids as a generator, which write_cipher can read only once."""
+    return (grid for grid in grids)
+
+
+def _refusal(write):
+    """The (class, message) that `write(form)` raises for both forms of a
+    message's grids that write_cipher takes: a tuple and a one-shot generator."""
+    outcomes = set()
+    for form in (tuple, _one_shot):
+        with pytest.raises(Exception) as raised:
+            write(form)
+        outcomes.add((raised.type, str(raised.value)))
+    assert len(outcomes) == 1, outcomes
+    return outcomes.pop()
+
+
+def _sparse_bytes(rng, n):
+    """`n` bytes, each nonzero with probability 1/8: most blocks repeat."""
+    return bytes(rng.randrange(1, 256) if rng.random() < 1 / 8 else 0 for _ in range(n))
+
+
+def test_write_cipher_writes_streamed_grids_as_it_writes_a_tuple(monkeypatch):
+    """write_cipher over a one-shot generator of encrypt_block grids writes
+    the tuple form's bytes, and both equal a plain cell-by-cell encoding:
+    seeded uniform and sparse payloads at sticky depths 0-8, then a 16 KiB
+    uniform payload whose distinct cells outnumber the cell memo's bound,
+    so the memo is cleared and refilled on the way."""
+    rng = random.Random(31)
+    cases = [(random_chain(rng, d), make(rng, 400)) for d in range(9) for make in (random.Random.randbytes, _sparse_bytes)]
+    cases.append((random_chain(rng, 0), rng.randbytes(16 * 1024)))
+    checked = []
+    encode = container._encode_checked
+    monkeypatch.setattr(container, "_encode_checked", lambda cell: checked.append(cell) or encode(cell))
+    for chain, payload in cases:
+        msg = cm.segment_message(payload)
+        whole = container.CipherMessage(tuple(cm.encrypt_block(b, chain) for b in msg.blocks), msg.tail_bits)
+        checked.clear()
+        streamed = container.write_cipher(whole._replace(grids=(cm.encrypt_block(b, chain) for b in msg.blocks)))
+        assert streamed == container.write_cipher(whole) == _encode_without_checks(whole)
+    distinct = len({cell for grid in whole.grids for cell in grid.cells})
+    assert len(checked) > distinct > container.CELL_MEMO_MAX
+
+
+def test_write_cipher_stops_at_the_first_faulty_grid_and_checks_whole_bytes_last(golden_chain, golden_block):
+    """The writer refuses a grid as it arrives and draws no later grid; the
+    whole-byte tail check needs the block count, so a grid's fault
+    outranks it."""
+    grid = cm.encrypt_block(golden_block, golden_chain)
+    drawn = []
+
+    def grids(*stream):
+        for g in stream:
+            drawn.append(g)
+            yield g
+
+    with pytest.raises(ValueOutOfRange, match="disagree"):
+        container.write_cipher(container.CipherMessage(grids(grid, grid._replace(sticky_rounds=1), grid), 26))
+    assert len(drawn) == 2
+    with pytest.raises(MalformedCell, match="2 blocks with 24 tail bits"):
+        container.write_cipher(container.CipherMessage(grids(grid, grid), 24))
+    with pytest.raises(ValueOutOfRange, match="not four nibbles"):
+        container.write_cipher(container.CipherMessage(grids(grid, grid._replace(orders=(16, 0, 0, 0))), 24))
+
+
 def test_write_cipher_rejects_mixed_rounds(golden_chain, golden_block):
     rng = random.Random(25)
     g0 = cm.encrypt_block(golden_block, golden_chain)
@@ -205,15 +270,15 @@ def test_write_cipher_refuses_cells_the_reader_refuses(golden_chain, golden_bloc
     cells = list(grid.cells)
     cells[next(i for i, c in enumerate(cells) if c[0] == bad[0])] = bad
     msg = container.CipherMessage(grids=(grid._replace(cells=tuple(cells)),), tail_bits=24)
-    with pytest.raises(MalformedCell) as written:
-        container.write_cipher(msg)
-    assert _outcome(container.read_cipher, _encode_without_checks(msg)) == (MalformedCell, str(written.value))
+    written = _refusal(lambda form: container.write_cipher(msg._replace(grids=form(msg.grids))))
+    assert written[0] is MalformedCell
+    assert _outcome(container.read_cipher, _encode_without_checks(msg)) == written
 
 
 def test_write_cipher_refuses_a_message_of_no_blocks():
     # 6 tail bits would pass the tail check, so only the block check refuses
-    with pytest.raises(MalformedCell, match="at least one block"):
-        container.write_cipher(container.CipherMessage(grids=(), tail_bits=6))
+    refused = _refusal(lambda form: container.write_cipher(container.CipherMessage(form(()), tail_bits=6)))
+    assert refused == (MalformedCell, "a cipher file needs at least one block")
 
 
 def test_write_cipher_refuses_a_256_pair_sequence_list(golden_chain, golden_block):
@@ -223,8 +288,8 @@ def test_write_cipher_refuses_a_256_pair_sequence_list(golden_chain, golden_bloc
 
 
 def _write_edited(edit):
-    """Write a one-block message of the grid after `edit(grid)`."""
-    return lambda grid, chain: container.write_cipher(container.CipherMessage((edit(grid),), 24))
+    """Write a one-block message of the grid after `edit(grid)`, its grids in `form`."""
+    return lambda grid, chain, form: container.write_cipher(container.CipherMessage(form((edit(grid),)), 24))
 
 
 def _first_of(tag, cell):
@@ -251,9 +316,12 @@ WRITER_REFUSALS = {
     "unknown_tag": (_write_edited(_first_of(TM, (9,))), MalformedCell),
     "short_asm": (_write_edited(_first_of(ASM, (ASM, 1))), MalformedCell),
     "rm_over_int32": (_write_edited(_first_of(RM, (RM, 2**40))), MalformedCell),
-    "sticky_word_33_bits": (lambda grid, chain: container.write_key(chain._replace(sticky=(2**32,))), ValueOutOfRange),
+    "sticky_word_33_bits": (
+        lambda grid, chain, form: container.write_key(chain._replace(sticky=(2**32,))),
+        ValueOutOfRange,
+    ),
     "base_word_49_bits": (
-        lambda grid, chain: container.write_key(chain._replace(base=chain.base._replace(asm_key=2**48))),
+        lambda grid, chain, form: container.write_key(chain._replace(base=chain.base._replace(asm_key=2**48))),
         ValueOutOfRange,
     ),
 }
@@ -262,8 +330,8 @@ WRITER_REFUSALS = {
 @pytest.mark.parametrize("case", WRITER_REFUSALS)
 def test_writers_refuse_what_the_reader_cannot_read_back(golden_chain, golden_block, case):
     write, exc = WRITER_REFUSALS[case]
-    with pytest.raises(exc):
-        write(cm.encrypt_block(golden_block, golden_chain), golden_chain)
+    grid = cm.encrypt_block(golden_block, golden_chain)
+    assert _refusal(lambda form: write(grid, golden_chain, form))[0] is exc
 
 
 # A value equal to an int but of another type passes a range or set test;
@@ -272,23 +340,23 @@ def test_writers_refuse_what_the_reader_cannot_read_back(golden_chain, golden_bl
 @pytest.mark.parametrize("orders", [(5.0, 1, 2, 3), (5, 1, 2, 3.0), (5, 1, 2, "3"), None])
 def test_write_cipher_refuses_order_nibbles_that_are_not_ints(golden_chain, golden_block, orders):
     grid = cm.encrypt_block(golden_block, golden_chain)._replace(orders=orders)
-    with pytest.raises(ValueOutOfRange, match="not four nibbles"):
-        container.write_cipher(container.CipherMessage((grid,), 24))
+    exc, message = _refusal(lambda form: container.write_cipher(container.CipherMessage(form((grid,)), 24)))
+    assert exc is ValueOutOfRange and "not four nibbles" in message
 
 
 @pytest.mark.parametrize("tail_bits", [24.0, "24", None])
 def test_write_cipher_refuses_tail_bits_that_are_not_an_int(golden_chain, golden_block, tail_bits):
     grid = cm.encrypt_block(golden_block, golden_chain)
-    with pytest.raises(MalformedCell, match="tail_bits"):
-        container.write_cipher(container.CipherMessage((grid,), tail_bits))
+    exc, message = _refusal(lambda form: container.write_cipher(container.CipherMessage(form((grid,)), tail_bits)))
+    assert exc is MalformedCell and "tail_bits" in message
 
 
 @pytest.mark.parametrize("convert", [float, str])
 def test_write_cipher_refuses_sticky_rounds_that_are_not_an_int(golden_chain, golden_block, convert):
     grid = cm.encrypt_block(golden_block, golden_chain)
     grid = grid._replace(sticky_rounds=convert(grid.sticky_rounds))
-    with pytest.raises(ValueOutOfRange, match="sticky rounds"):
-        container.write_cipher(container.CipherMessage((grid,), 24))
+    exc, message = _refusal(lambda form: container.write_cipher(container.CipherMessage(form((grid,)), 24)))
+    assert exc is ValueOutOfRange and "sticky rounds" in message
 
 
 @pytest.mark.parametrize("value", [1.0, "1", None])
