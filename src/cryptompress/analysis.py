@@ -25,8 +25,8 @@ from .cipher import (
     unseal_mask,
 )
 from .container import compressed_size_bits, write_cipher, CipherMessage
-from .engine import compress_block, decompress_block
-from .errors import CryptompressError, EmptyInput, IntegrityFailure, ValueOutOfRange
+from .engine import compress_block, rebuild
+from .errors import CryptompressError, EmptyInput, ValueOutOfRange
 from .keyschedule import KeyChain
 
 MAX_RESTRICTED_BITS = 24
@@ -111,7 +111,9 @@ def bruteforce_demo(
     XOR word, the demo's whole keyspace. So the sweep compiles one key and
     opens the starting grid once under `chain`; per candidate it only
     rebuilds the block under the candidate's unseal mask, with each prime's
-    unsealed pairs cached by that prime's byte of the mask. The mask fold
+    unsealed pairs cached by that prime's byte of the mask. The rebuild
+    returns a refusal as a tuple, which never equals the known block, so
+    a refused candidate raises no exception. The mask fold
     is linear, so that mask is the unseal mask of the high bits, folded
     once, XOR the candidate's low bits. A hardened grid carries more
     rounds than `chain` has sticky words, so its gate refuses every
@@ -143,11 +145,8 @@ def bruteforce_demo(
         if stored is not None:
             mask = high_mask ^ value
             sm = {0: u2(mask & b2), 1: u3(mask & b3), 2: u5(mask & b5), 3: u7(mask & b7)}
-            try:
-                success = decompress_block(rm, sm, tm, key.deltas) == known_block
-            except IntegrityFailure:  # the only class the rebuild raises
-                pass
-            if success:
+            if rebuild(rm, sm, tm, key.deltas) == known_block:
+                success = True
                 break
         failures += 1
         if harden_every and failures % harden_every == 0:

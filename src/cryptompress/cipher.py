@@ -7,11 +7,13 @@ scrambled data columns holding, per target row, the horizontal and
 vertical matrix strings, the reduced outcome, the sequence list and the
 term pair.
 
-A key chain is compiled once (compile_key). Each sticky round maps a
-stored (S, R) pair to (R xor k_r, S xor k_s), so the base XOR and every
-sticky round compose into one 32-bit mask plus a swap when the chain's
-depth is odd, and the 20 swaps of the scramble into one slot table,
-which reads no bit of the XOR word. seal_pairs is the one place the SM
+A base key's structure is compiled once (compile_key): its delta table,
+matrix-string cells and slot tables. A chain grown from it reuses that
+structure and folds only its sticky words into its mask. Each sticky
+round maps a stored (S, R) pair to (R xor k_r, S xor k_s), so the base
+XOR and every sticky round compose into one 32-bit mask plus a swap when
+the chain's depth is odd, and the 20 swaps of the scramble into one slot
+table, which reads no bit of the XOR word. seal_pairs is the one place the SM
 layer touches pairs: encrypt seals under (mask, swap), decrypt under
 nswap(mask) when the chain swaps, and a hardening round is a seal under
 nswap(word) with a swap.
@@ -154,15 +156,17 @@ def fold_mask(xor_word: int, sticky: tuple[int, ...]) -> int:
 @lru_cache(maxsize=64)
 def compile_key(chain: KeyChain) -> CompiledKey:
     """A chain's key material, derived once. The 8 matrix-string cells are
-    the order nibbles as rows, then the transposed bit matrix as columns."""
+    the order nibbles as rows, then the transposed bit matrix as columns.
+    A chain with sticky words takes the rest from its base key's compiled
+    key, through this same cache, and folds only its own words."""
     base, sticky = chain
+    if sticky:
+        return compile_key(KeyChain(base))._replace(mask=fold_mask(base.xor_word, sticky), swap=len(sticky) % 2 == 1)
     asm, nibbles = derive_material(base)
     orders = asm.orders
     columns = [sum(((orders[t] >> (3 - c)) & 1) << (3 - t) for t in range(4)) for c in range(4)]
     asm_cells = tuple((ASM, i % 4, m) for i, m in enumerate(orders + tuple(columns)))
-    return CompiledKey(
-        asm, asm.deltas, asm_cells, *_slot_tables(nibbles), fold_mask(base.xor_word, sticky), len(sticky) % 2 == 1
-    )
+    return CompiledKey(asm, asm.deltas, asm_cells, *_slot_tables(nibbles), base.xor_word, False)
 
 
 PRIME_BYTES = (0xFF000000, 0xFF0000, 0xFF00, 0xFF)  # the byte of a mask each prime's pairs read
@@ -255,8 +259,8 @@ def decrypt_block(grid: CipherGrid, chain: KeyChain) -> int:
     """Invert encrypt_block in one pass: the slot gate, the body read, then
     the rebuild, which unseals each prime's stored pairs under the key's
     unseal mask and decompresses. Raises what _open_grid raises, then what
-    read_body raises, then IntegrityFailure when the rebuild or the RM
-    checksum fails."""
+    read_body raises, then IntegrityFailure, its `reason` set, when the
+    rebuild or the RM checksum fails."""
     key, c = _open_grid(grid, chain)
     rm, tm, stored = read_body(c)
     mask = unseal_mask(key)

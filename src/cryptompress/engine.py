@@ -124,15 +124,29 @@ def compress_block(
     return CompressedBlock(tuple(rm), sm, tuple(processed) + (None,) * (len(PRIMES) - len(processed)))
 
 
-def decompress_block(
+# The rebuild's failures by reason, each with the message its details fill.
+FAILURES = {
+    "term_prefix": "term slots {} are not a left prefix",
+    "duplicate_target": "prime {} holds two term slots",
+    "crossings": "prime {}: {} crossings over {} placed cells",
+    "event_order": "prime {}: event ({},{}) out of order or range",
+    "rm_checksum": "prime {}: outcome {} fails the checksum",
+    "size": "reconstructed {} symbols, expected 15",
+    "orphan_outcome": "a prime without a term slot has an outcome or events",
+}
+
+
+def rebuild(
     rm: Sequence[Optional[int]],
     sm: Mapping[int, Sequence[tuple[int, int]]],
     tm: Sequence[Optional[tuple[int, int]]],
     deltas: Sequence[Sequence[int]],
-) -> int:
+) -> int | tuple:
     """Rebuild the 30-bit block from the three matrices of a
     CompressedBlock and the delta table compress_block took; exact
-    inverse of compress_block for honest inputs.
+    inverse of compress_block for honest inputs. On failure it returns,
+    without raising, the tuple (reason, *details) that FAILURES[reason]
+    formats; a tuple never equals a block.
 
     The structure comes from TM and SM alone. Term slots are replayed left
     to right, each target placed in front of the cells of the targets
@@ -145,7 +159,7 @@ def decompress_block(
     """
     occupied = [slot for slot in tm if slot is not None]
     if None in tm[: len(occupied)]:
-        raise IntegrityFailure(f"term slots {tuple(tm)} are not a left prefix")
+        return ("term_prefix", tuple(tm))
     block: list[int] = []
     counts = [0] * len(PRIMES)
     n_events = 0
@@ -153,30 +167,42 @@ def decompress_block(
         events = sm[t]
         placed = len(block)
         if counts[t]:
-            raise IntegrityFailure(f"prime {PRIMES[t]} holds two term slots")
+            return ("duplicate_target", PRIMES[t])
         if last_seq - len(events) != placed:
-            raise IntegrityFailure(
-                f"prime {PRIMES[t]}: {last_seq - len(events)} crossings over {placed} placed cells"
-            )
+            return ("crossings", PRIMES[t], last_seq - len(events), placed)
         rebuilt = [t]
         prev = pos = 0
         for seq, run in events:
             if not (prev < seq <= last_seq and seq < SYMBOLS_PER_BLOCK and 0 < run < SYMBOLS_PER_BLOCK):
-                raise IntegrityFailure(f"prime {PRIMES[t]}: event ({seq},{run}) out of order or range")
+                return ("event_order", PRIMES[t], seq, run)
             rebuilt += block[pos : pos + seq - prev - 1]
             rebuilt += [t] * run
             pos += seq - prev - 1
             prev = seq
         rebuilt += block[pos:]
         if rm[t] != PRIMES[t] * (len(rebuilt) - placed) + sum(map(mul, deltas[t], counts)):
-            raise IntegrityFailure(f"prime {PRIMES[t]}: outcome {rm[t]} fails the checksum")
+            return ("rm_checksum", PRIMES[t], rm[t])
         counts[t] = len(rebuilt) - placed
         n_events += len(events)
         block = rebuilt
     if len(block) != SYMBOLS_PER_BLOCK:
-        raise IntegrityFailure(f"reconstructed {len(block)} symbols, expected 15")
+        return ("size", len(block))
     # Every target passed the checksum, so it has an outcome; the counts
     # match only if no other prime has an outcome or events.
     if rm.count(None) != len(PRIMES) - len(occupied) or sum(map(len, sm.values())) != n_events:
-        raise IntegrityFailure("a prime without a term slot has an outcome or events")
+        return ("orphan_outcome",)
     return sum(map(lshift, block, SHIFTS))
+
+
+def decompress_block(
+    rm: Sequence[Optional[int]],
+    sm: Mapping[int, Sequence[tuple[int, int]]],
+    tm: Sequence[Optional[tuple[int, int]]],
+    deltas: Sequence[Sequence[int]],
+) -> int:
+    """rebuild, raising IntegrityFailure with the failure's message and
+    its reason instead of returning it."""
+    block = rebuild(rm, sm, tm, deltas)
+    if isinstance(block, tuple):
+        raise IntegrityFailure(FAILURES[block[0]].format(*block[1:]), reason=block[0])
+    return block

@@ -21,7 +21,12 @@ class EmptyInput(CryptompressError):
 
 class IntegrityFailure(CryptompressError):
     """Decryption could not restore a consistent block: wrong key or
-    tampered ciphertext."""
+    tampered ciphertext. `reason` names the rebuild's failure, one of
+    engine.FAILURES, when engine.decompress_block raised it, else None."""
+
+    def __init__(self, *args, reason=None):
+        super().__init__(*args)
+        self.reason = reason
 
 
 class RoundCountMismatch(CryptompressError):

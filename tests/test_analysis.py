@@ -85,6 +85,15 @@ def test_sweep_matches_one_decrypt_per_candidate_on_deep_chains(depth):
             _same_sweep(grid, chain, block, bits, harden_every, depth)
 
 
+def test_sweep_hardening_after_every_failure_matches_one_decrypt_per_candidate():
+    """harden_every=1 grows a new chain after every failed candidate, each
+    compiled through its base key's structure; the sweep still matches
+    the reference, field for field."""
+    chain, block, grid = demo_setup(11)
+    report = _same_sweep(grid, chain, block, 8, 1, 11)
+    assert report.hardenings_triggered == report.attempts_made - report.success >= 255
+
+
 def test_sweep_of_a_grid_the_gate_refuses_matches_one_decrypt_per_candidate():
     chain, block, grid = demo_setup(5)
     report = _same_sweep(_rotated(grid), chain, block, 8, 0, 5)

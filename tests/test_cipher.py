@@ -1,13 +1,14 @@
 import ast
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import cryptompress as cm
-from cryptompress import cipher, container, errors
+from cryptompress import cipher, container, engine, errors
 from cryptompress.cipher import (
     ASM,
     EMPTY,
@@ -386,6 +387,74 @@ def test_candidates_compile_equal_key_structures():
     other = compile_key(KeyChain(base._replace(sm_key=base.sm_key ^ (1 << 40))))
     assert other.slots != keys[0].slots
     assert other.mask == keys[0].mask
+
+
+def _stepwise_masks(xor_word, words):
+    """The mask after each sticky round, applied one at a time: XOR the
+    word, then swap the nibbles of every byte."""
+    masks = [xor_word]
+    for word in words:
+        raw = (masks[-1] ^ word).to_bytes(4, "big")
+        masks.append(int.from_bytes(bytes((b >> 4) | (b & 15) << 4 for b in raw), "big"))
+    return masks
+
+
+def test_cold_compile_of_a_chain_deeper_than_the_recursion_limit_equals_the_stepwise_fold():
+    """A chain takes its structure from its base key's compiled key, one
+    call deep whatever its depth, and folds its own words: from a cleared
+    cache, a 3,000-word chain and every prefix of up to 300 words compile
+    to the base structure under the stepwise mask."""
+    rng = random.Random(3000)
+    base = generate_key(rng)
+    words = tuple(rng.getrandbits(32) for _ in range(3000))
+    assert len(words) > sys.getrecursionlimit()
+    masks = _stepwise_masks(base.xor_word, words)
+    root = compile_key.__wrapped__(KeyChain(base))
+    compile_key.cache_clear()
+    for depth in (3000, *range(301)):
+        key = compile_key(KeyChain(base, words[:depth]))
+        assert key == root._replace(mask=masks[depth], swap=depth % 2 == 1)
+
+
+def test_a_growing_chain_derives_its_base_key_material_once(monkeypatch):
+    """Each chain that hardening grows compiles through its base key's
+    cached structure, so derive_material runs once per base key."""
+    calls = []
+
+    def counted(base, _fn=cipher.derive_material):
+        calls.append(base)
+        return _fn(base)
+
+    monkeypatch.setattr(cipher, "derive_material", counted)
+    compile_key.cache_clear()
+    rng = random.Random(33)
+    chains = [random_chain(rng), random_chain(rng)]
+    for _ in range(40):
+        chains = [extend_key(chain, rng) for chain in chains]
+        for chain in chains:
+            compile_key(chain)
+    assert calls == [chain.base for chain in chains]
+
+
+def test_only_the_rebuild_gives_an_integrity_failure_a_reason(golden_chain, golden_block):
+    """decompress_block's failures name their rebuild reason; the slot
+    gate's and the body read's IntegrityFailure carry reason None."""
+    grid = cm.encrypt_block(golden_block, golden_chain)
+    rotated = grid._replace(cells=grid.cells[1:] + grid.cells[:1])
+    cells = list(grid.cells)
+    j = compile_key(golden_chain).slots[4 * 4]  # the first term slot, always occupied
+    cells[j] = (TM, 9, cells[j][2])
+    for bad in (rotated, grid._replace(cells=tuple(cells))):
+        with pytest.raises(IntegrityFailure) as info:
+            cm.decrypt_block(bad, golden_chain)
+        assert info.value.reason is None
+    reasons = set()
+    for word in range(1, 200):
+        try:
+            cm.decrypt_block(grid, KeyChain(golden_chain.base._replace(sm_key=golden_chain.base.sm_key ^ word)))
+        except IntegrityFailure as exc:
+            reasons.add(exc.reason)
+    assert reasons and reasons <= set(engine.FAILURES)
 
 
 def test_decrypt_round_count_mismatch(golden_chain, golden_block):

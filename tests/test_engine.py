@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cryptompress import codec
-from cryptompress.engine import AddSubMatrix, CompressedBlock, compress_block, decompress_block
+from cryptompress.cipher import seal_pairs
+from cryptompress.engine import AddSubMatrix, CompressedBlock, compress_block, decompress_block, rebuild
 from cryptompress.errors import IntegrityFailure, ValueOutOfRange
 from test_acceptance import closed_form_outcomes
 from test_compress_oracle import EmptyResidual, SequenceEvent, traverse_target
@@ -217,3 +218,92 @@ def test_decompress_rejects_orphan_events():
     )
     with pytest.raises(IntegrityFailure):
         decompress_block(*cb, AddSubMatrix((0, 0, 0, 0)).deltas)
+
+
+_NO_EVENTS = {0: [], 1: [], 2: [], 3: []}
+_ALL_MINUS = AddSubMatrix((0, 0, 0, 0)).deltas
+
+# One hand-built input per rebuild failure: (reason, matrices, the exact
+# message decompress_block raises, the details rebuild returns).
+REBUILD_FAILURES = [
+    (
+        "term_prefix",
+        CompressedBlock((2, 3, None, None), _NO_EVENTS, ((0, 0), None, (1, 1), None)),
+        "term slots ((0, 0), None, (1, 1), None) are not a left prefix",
+        (((0, 0), None, (1, 1), None),),
+    ),
+    (
+        "duplicate_target",
+        CompressedBlock((2, None, None, None), _NO_EVENTS, ((0, 0), (0, 0), None, None)),
+        "prime 2 holds two term slots",
+        (2,),
+    ),
+    (
+        "crossings",
+        CompressedBlock((2, None, None, None), _NO_EVENTS, ((0, 3), None, None, None)),
+        "prime 2: 3 crossings over 0 placed cells",
+        (2, 3, 0),
+    ),
+    (
+        "event_order",
+        CompressedBlock((2, None, None, None), {**_NO_EVENTS, 0: [(1, 15)]}, ((0, 1), None, None, None)),
+        "prime 2: event (1,15) out of order or range",
+        (2, 1, 15),
+    ),
+    (
+        "rm_checksum",
+        CompressedBlock((3, None, None, None), _NO_EVENTS, ((0, 0), None, None, None)),
+        "prime 2: outcome 3 fails the checksum",
+        (2, 3),
+    ),
+    (
+        "size",
+        CompressedBlock((2, None, None, None), _NO_EVENTS, ((0, 0), None, None, None)),
+        "reconstructed 1 symbols, expected 15",
+        (1,),
+    ),
+    (
+        "orphan_outcome",
+        CompressedBlock((30, None, None, None), {**_NO_EVENTS, 0: [(1, 14)], 1: [(1, 1)]}, ((0, 1), None, None, None)),
+        "a prime without a term slot has an outcome or events",
+        (),
+    ),
+]
+
+
+@pytest.mark.parametrize("reason, cb, message, details", REBUILD_FAILURES, ids=[f[0] for f in REBUILD_FAILURES])
+def test_each_rebuild_failure_returns_its_reason_and_raises_its_message(reason, cb, message, details):
+    """rebuild returns (reason, *details); decompress_block raises
+    IntegrityFailure with the message those details fill and the reason."""
+    assert rebuild(*cb, _ALL_MINUS) == (reason, *details)
+    with pytest.raises(IntegrityFailure) as info:
+        decompress_block(*cb, _ALL_MINUS)
+    assert str(info.value) == message
+    assert info.value.reason == reason
+
+
+def test_rebuild_matches_decompress_on_20000_blocks_under_correct_and_random_masks():
+    """A differential over seeded blocks, each unsealed under the right
+    mask and under a random one: rebuild returns exactly the block
+    decompress_block returns, and a failure tuple exactly when it raises,
+    with the same reason."""
+    rng = random.Random(29)
+    tables = [AddSubMatrix(tuple(rng.randrange(16) for _ in range(4))).deltas for _ in range(50)]
+    outcomes = {"block": 0, "failure": 0}
+    for n in range(20000):
+        deltas = tables[n % len(tables)]
+        block = rng.getrandbits(codec.BLOCK_BITS)
+        cb = compress_block(block, deltas)
+        mask, swap = rng.getrandbits(32), bool(rng.getrandbits(1))
+        for sm in (cb.sm, {i: seal_pairs(cb.sm[i], mask, swap, i) for i in range(4)}):
+            out = rebuild(cb.rm, sm, cb.tm, deltas)
+            try:
+                expected = decompress_block(cb.rm, sm, cb.tm, deltas)
+            except IntegrityFailure as exc:
+                assert type(out) is tuple and out[0] == exc.reason
+                outcomes["failure"] += 1
+            else:
+                assert type(out) is int and out == expected
+                outcomes["block"] += 1
+        assert rebuild(*cb, deltas) == block
+    assert min(outcomes.values()) > 1000
