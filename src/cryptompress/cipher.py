@@ -283,7 +283,7 @@ def harden_message(
     rewritten bytes (_harden_file).
     """
     if isinstance(grids, (bytes, bytearray, memoryview)):
-        return _harden_file(bytes(grids), chain, rng)
+        return _harden_file(grids, chain, rng)
     new_chain = extend_key(chain, rng)
     word = _nswap(new_chain.sticky[-1])
     out = []
@@ -296,56 +296,42 @@ def harden_message(
 
 
 def _harden_file(data: bytes, chain: KeyChain, rng: random.Random | None) -> tuple[bytes, KeyChain]:
-    """harden_message on a CMC1 file's bytes, in one walk: each distinct
-    block opens through the slot gate once, first seen first, and each
-    distinct SM cell is resealed once and written over its own bytes, which
-    keeps its length. No grid is rebuilt, and no other byte changes but the
-    header's round count.
-
-    It raises what reading the whole file and then hardening its grids
-    raises. A container error anywhere in the file comes first, then a
-    failure to draw the new word, then the first gate failure; the last two
-    are held until the walk ends. A grown chain that no key file holds is
-    refused last, as container.write_key refuses it."""
+    """harden_message on a CMC1 file's bytes: one container.walk_blocks whose
+    action opens each distinct block through the slot gate once, first seen
+    first, and writes each distinct SM cell's reseal over its own bytes. No
+    grid is rebuilt, and no byte changes but those and the header's round
+    count. It raises what reading the whole file and then hardening its
+    grids raises: a container error anywhere, then a failed word draw, then
+    the first gate failure; last, write_key's refusal of a grown chain."""
     from . import container  # container imports this module
 
-    rounds, block_count, tail_bits = container.read_header(data)
-    failure = None
     try:
         new_chain = extend_key(chain, rng)
-        word = _nswap(new_chain.sticky[-1])
-    except CryptompressError as exc:
-        failure = exc
+    except CryptompressError:
+        container.read_cipher(data)  # a container error outranks the failed draw
+        raise
+    word = _nswap(new_chain.sticky[-1])
     key = compile_key(chain)
     wire = sorted(key.slots[SM_BASE : 4 * N_SLOTS])  # the SM cells' wire positions, in wire order
     primes = [key.at[w] - SM_BASE for w in wire]
     sealed: list[dict[Cell, bytes]] = [{} for _ in primes]  # by prime: each SM cell's new bytes
     hardened: dict[bytes, bytes] = {}  # each distinct block's bytes: its new bytes
-    out = bytearray(container.HEADER_BYTES)
-    end = container.HEADER_BYTES
-    for grid, block_end, sm_at in container.walk_blocks(data, rounds, block_count):
-        start, end = end, block_end
-        if failure is not None:
-            continue
-        raw = data[start:end]
+
+    def reseal(grid: CipherGrid, raw: bytes, sm_at: list[int]) -> bytes:
         new_block = hardened.get(raw)
         if new_block is None:
-            try:
-                _open_grid(grid, chain)
-            except CryptompressError as exc:
-                failure = exc
-                continue
+            _open_grid(grid, chain)
             new_block = bytearray(raw)
             for i, w, pos in zip(primes, wire, sm_at):
                 cell = grid.cells[w]
                 new = sealed[i].get(cell)
                 if new is None:
                     new = sealed[i][cell] = container._encode_cell((SM, seal_pairs(cell[1], word, True, i)))
-                new_block[pos - start : pos - start + len(new)] = new
+                new_block[pos : pos + len(new)] = new
             new_block = hardened[raw] = bytes(new_block)
-        out += new_block
-    if failure is not None:
-        raise failure
+        return new_block
+
+    rounds, tail_bits, blocks = container.walk_blocks(data, reseal)
     container.write_key(new_chain)  # a chain too deep for its key file must not get a cipher
-    out[: container.HEADER_BYTES] = container.pack_header(rounds + 1, block_count, tail_bits)
-    return bytes(out), new_chain
+    hardened.clear()  # its keys, the old blocks' bytes, are not needed for the join
+    return container.pack_header(rounds + 1, len(blocks), tail_bits) + b"".join(blocks), new_chain

@@ -4,17 +4,17 @@ Key file ("CMK1"): magic, sticky count byte, 16 base-key bytes in the
 asm|rm|tm|sm layout, then one 4-byte word per sticky key in application
 order. Length is always 21 + 4*count.
 
-Cipher file ("CMC1"): magic, version byte, sticky round byte, big-endian
-32-bit block count, tail-bits byte, then per block two packed order bytes
-and 20 tagged cells row-major. All multi-byte integers are big-endian.
-Each cell is a record led by its tag byte (_WIRE below); an SM record,
-(tag, count), is followed by that many (S, R) byte pairs.
+Cipher file ("CMC1"): magic, version byte, sticky round byte, 32-bit
+block count, tail-bits byte, then per block two packed order bytes and 20
+tagged cells row-major. All multi-byte integers are big-endian. A cell is
+a record led by its tag byte (_WIRE below); an SM record, (tag, count), is
+followed by that many (S, R) byte pairs. walk_blocks is its one reader.
 """
 
 import struct
 from itertools import chain
 from operator import itemgetter, le
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .cipher import (
     KIND_NAMES,
@@ -30,6 +30,7 @@ from .codec import BLOCK_BITS
 from .errors import (
     BadMagic,
     BadVersion,
+    CryptompressError,
     MalformedCell,
     Truncated,
     ValueOutOfRange,
@@ -265,21 +266,28 @@ def read_header(data: bytes) -> tuple[int, int, int]:
 _WIRE_SIZES = tuple(wire.size for wire in _WIRE)
 
 
-def walk_blocks(data: bytes, rounds: int, block_count: int) -> Iterator[tuple[CipherGrid, int, list[int]]]:
-    """Walk the blocks of a CMC1 file whose header read_header has passed:
-    yield each block's grid, the offset just past it and the offsets of its
-    four SM cells, then refuse trailing bytes. `data` must be bytes.
+def walk_blocks(data: bytes, action: Callable[[CipherGrid, bytes, list[int]], object]) -> tuple[int, int, list]:
+    """The one reader of a CMC1 file: its header, then every block, calling
+    action(grid, raw, sm_at) with the block's bytes and its four SM cells'
+    offsets within them. Returns (sticky rounds, tail bits, the results in
+    block order). No action runs after one raises a CryptompressError, but
+    the walk reads on, so a container error anywhere in the file outranks
+    that error, which is raised once the whole file is read.
 
     Each cell's extent comes from its tag, and its exact bytes map to its
-    tuple through a memo that lives for this walk: cells repeat heavily
-    within a file (every block carries the same 8 matrix strings), so each
-    distinct cell is decoded once, and so is each distinct tag string
-    checked. A cell the memo misses is decoded in place, so a bad cell
-    raises its error with its file offset."""
+    tuple through a memo for this walk: cells repeat heavily within a file
+    (every block carries the same 8 matrix strings), so each distinct cell
+    is decoded and each distinct tag string checked once. A cell the memo
+    misses is decoded in place, so a bad cell raises with its file offset."""
+    data = bytes(data)  # memo keys must hash, whatever bytes-like came in
+    rounds, block_count, tail_bits = read_header(data)
     sizes = _WIRE_SIZES
     memo: dict[bytes, Cell] = {}
+    results = []
+    failure = None
     pos = HEADER_BYTES
     for _ in range(block_count):
+        start = pos
         if pos + 2 > len(data):
             raise _truncated(data, pos, 2)
         a, b = data[pos], data[pos + 1]
@@ -292,7 +300,7 @@ def walk_blocks(data: bytes, rounds: int, block_count: int) -> Iterator[tuple[Ci
                 end = pos + sizes[tag]
                 if tag == SM:
                     end += 2 * data[pos + 1]
-                    sm_at.append(pos)
+                    sm_at.append(pos - start)
             except IndexError:  # an unknown tag or the end of the file: no memo key is empty
                 end = pos
             raw = data[pos:end]
@@ -303,17 +311,23 @@ def walk_blocks(data: bytes, rounds: int, block_count: int) -> Iterator[tuple[Ci
             cells.append(cell)
             pos = end
         check_tags(bytes(map(itemgetter(0), cells)))
-        yield CipherGrid((a >> 4, a & 15, b >> 4, b & 15), tuple(cells), rounds), pos, sm_at
+        if failure is None:
+            grid = CipherGrid((a >> 4, a & 15, b >> 4, b & 15), tuple(cells), rounds)
+            try:
+                results.append(action(grid, data[start:pos], sm_at))
+            except CryptompressError as exc:
+                failure = exc
     if pos != len(data):
         raise MalformedCell(f"{len(data) - pos} trailing bytes after last block")
+    if failure is not None:
+        raise failure
+    return rounds, tail_bits, results
 
 
 def read_cipher(data: bytes) -> CipherMessage:
-    """Parse a whole CMC1 file: its header, then every block through walk_blocks."""
-    rounds, block_count, tail_bits = read_header(data)
-    # memo keys must hash, whatever bytes-like came in
-    grids = tuple([grid for grid, _, _ in walk_blocks(bytes(data), rounds, block_count)])
-    return CipherMessage(grids=grids, tail_bits=tail_bits)
+    """Parse a whole CMC1 file: walk_blocks with an action that keeps each grid."""
+    _, tail_bits, grids = walk_blocks(data, lambda grid, raw, sm_at: grid)
+    return CipherMessage(grids=tuple(grids), tail_bits=tail_bits)
 
 
 def compressed_size_bits(cb) -> int:

@@ -10,6 +10,7 @@ from cryptompress.errors import (
     BadMagic,
     BadVersion,
     ContainerError,
+    IntegrityFailure,
     InventoryMismatch,
     MalformedCell,
     Truncated,
@@ -574,3 +575,61 @@ def test_each_missed_cell_reaches_the_decoder_once(golden_chain, golden_block, m
     for bad, outcome in expected.items():
         assert _outcome(diagnose_cipher, bad) == outcome
         assert _read_counting_decodes(monkeypatch, bad) == (outcome, distinct + 1)
+
+
+def _keep(grid, raw, sm_at):
+    return grid, raw, sm_at
+
+
+def test_walk_gives_each_block_its_grid_bytes_and_sm_offsets_in_block_order(valid_files):
+    """The actions' results come back in block order; each block's bytes,
+    joined, are the file after its header, and _decode_cell at each SM
+    offset within them reads the grid's SM cells in wire order."""
+    for data in valid_files:
+        rounds, tail_bits, results = container.walk_blocks(data, _keep)
+        msg = diagnose_cipher(data)
+        assert (rounds, tail_bits) == (msg.sticky_rounds, msg.tail_bits)
+        assert [grid for grid, _, _ in results] == list(msg.grids)
+        assert b"".join(raw for _, raw, _ in results) == data[container.HEADER_BYTES :]
+        for grid, raw, sm_at in results:
+            assert [container._decode_cell(raw, o)[0] for o in sm_at] == [c for c in grid.cells if c[0] == SM]
+
+
+def _failing_at(index, calls):
+    """An action that records each grid it is given and raises on the call
+    numbered `index`."""
+    def action(grid, raw, sm_at):
+        calls.append(grid)
+        if len(calls) > index:
+            raise IntegrityFailure(f"block {index}")
+        return grid
+    return action
+
+
+def test_walk_runs_no_action_after_one_fails_but_reads_to_the_end(valid_files):
+    rng = random.Random(31)
+    for data in valid_files[:40]:
+        grids = diagnose_cipher(data).grids
+        index = rng.randrange(len(grids))
+        calls = []
+        with pytest.raises(IntegrityFailure, match=f"^block {index}$"):
+            container.walk_blocks(data, _failing_at(index, calls))
+        assert calls == list(grids[: index + 1])
+
+
+def test_a_later_cut_block_or_trailing_byte_outranks_the_actions_error(valid_files):
+    """The action fails on the first block; a cut anywhere after that block,
+    or one trailing byte, still raises what read_cipher raises, and no
+    action runs after the first."""
+    rng = random.Random(32)
+    for data in valid_files[:40]:
+        first_end = container.HEADER_BYTES + len(container.walk_blocks(data, _keep)[2][0][1])
+        bad = [data + b"\0"]
+        if first_end < len(data):
+            bad.append(data[: rng.randrange(first_end, len(data))])
+        for damaged in bad:
+            expected = _outcome(container.read_cipher, damaged)
+            assert issubclass(expected[0], ContainerError)
+            calls = []
+            assert _outcome(lambda d: container.walk_blocks(d, _failing_at(0, calls)), damaged) == expected
+            assert len(calls) == 1
