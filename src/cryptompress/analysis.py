@@ -19,7 +19,7 @@ from .cipher import (
     compile_key,
     encrypt_block,
     fold_mask,
-    harden_message,
+    harden_cells,
     read_body,
     seal_pairs,
     unseal_mask,
@@ -112,13 +112,12 @@ def bruteforce_demo(
     opens the starting grid once under `chain`; per candidate it only
     rebuilds the block under the candidate's unseal mask, with each prime's
     unsealed pairs cached by that prime's byte of the mask. The rebuild
-    returns a refusal as a tuple, which never equals the known block, so
-    a refused candidate raises no exception. The mask fold
-    is linear, so that mask is the unseal mask of the high bits, folded
-    once, XOR the candidate's low bits. A hardened grid carries more
-    rounds than `chain` has sticky words, so its gate refuses every
-    candidate and the sweep opens none. The defender's sticky words come
-    from random.Random(seed); no report field reads them."""
+    returns a refusal as a tuple, which never equals the known block, so a
+    refused candidate raises no exception. The mask fold is linear, so that
+    mask is the unseal mask of the high bits, folded once, XOR the
+    candidate's low bits. No candidate is tried on a hardened grid; the
+    defender reseals the starting grid's cells in place (harden_cells)
+    with random.Random(seed)'s words, drawn as extend_key draws them."""
     if not 1 <= restricted_bits <= MAX_RESTRICTED_BITS:
         raise ValueOutOfRange(f"restricted_bits must be in [1, {MAX_RESTRICTED_BITS}], got {restricted_bits}")
     if harden_every < 0:
@@ -129,8 +128,10 @@ def bruteforce_demo(
     key = compile_key(chain)
     high = chain.base.xor_word >> restricted_bits << restricted_bits
     high_mask = unseal_mask(key._replace(mask=fold_mask(high, chain.sticky)))
+    c = None
     try:
-        rm, tm, stored = read_body(_open_grid(grid, chain)[1])
+        c = _open_grid(grid, chain)[1]
+        rm, tm, stored = read_body(c)
     except CryptompressError:  # the grid fails every candidate
         stored = None
     else:
@@ -138,7 +139,6 @@ def bruteforce_demo(
             cache(lambda mask, pairs=pairs, i=i: seal_pairs(pairs, mask, key.swap, i)) for i, pairs in enumerate(stored)
         ]
         b2, b3, b5, b7 = PRIME_BYTES
-    live_grid, live_chain = grid, chain
     failures = 0
     success = False
     for value in order:
@@ -150,7 +150,7 @@ def bruteforce_demo(
                 break
         failures += 1
         if harden_every and failures % harden_every == 0:
-            (live_grid,), live_chain = harden_message((live_grid,), live_chain, rng)
+            harden_cells(c or _open_grid(grid, chain)[1], rng.getrandbits(32))  # a grid the gate refused raises here
             stored = None
     return AttackReport(
         keyspace_bits=restricted_bits,

@@ -7,16 +7,15 @@ scrambled data columns holding, per target row, the horizontal and
 vertical matrix strings, the reduced outcome, the sequence list and the
 term pair.
 
-A base key's structure is compiled once (compile_key): its delta table,
-matrix-string cells and slot tables. A chain grown from it reuses that
-structure and folds only its sticky words into its mask. Each sticky
-round maps a stored (S, R) pair to (R xor k_r, S xor k_s), so the base
-XOR and every sticky round compose into one 32-bit mask plus a swap when
-the chain's depth is odd, and the 20 swaps of the scramble into one slot
-table, which reads no bit of the XOR word. seal_pairs is the one place the SM
-layer touches pairs: encrypt seals under (mask, swap), decrypt under
-nswap(mask) when the chain swaps, and a hardening round is a seal under
-nswap(word) with a swap.
+A chain's key material is compiled once (compile_key): its delta table,
+matrix-string cells, slot tables and mask. Each sticky round maps a
+stored (S, R) pair to (R xor k_r, S xor k_s), so the base XOR and every
+sticky round compose into one 32-bit mask plus a swap when the chain's
+depth is odd, and the 20 swaps of the scramble into one slot table, which
+reads only the base key, never its XOR word. seal_pairs is the one place
+the SM layer touches pairs: encrypt seals under (mask, swap), decrypt
+under nswap(mask) when the chain swaps, and a hardening round
+(harden_cells) is a seal under nswap(word) with a swap.
 """
 
 import random
@@ -27,7 +26,7 @@ from typing import NamedTuple, Sequence
 
 from .codec import PRIMES
 from .engine import AddSubMatrix, CompressedBlock, compress_block, decompress_block
-from .errors import CryptompressError, IntegrityFailure, InventoryMismatch, RoundCountMismatch, ValueOutOfRange
+from .errors import IntegrityFailure, InventoryMismatch, RoundCountMismatch, ValueOutOfRange
 from .keyschedule import KeyChain, derive_material, extend_key
 
 N_KINDS = 5
@@ -155,18 +154,15 @@ def fold_mask(xor_word: int, sticky: tuple[int, ...]) -> int:
 
 @lru_cache(maxsize=64)
 def compile_key(chain: KeyChain) -> CompiledKey:
-    """A chain's key material, derived once. The 8 matrix-string cells are
-    the order nibbles as rows, then the transposed bit matrix as columns.
-    A chain with sticky words takes the rest from its base key's compiled
-    key, through this same cache, and folds only its own words."""
-    base, sticky = chain
-    if sticky:
-        return compile_key(KeyChain(base))._replace(mask=fold_mask(base.xor_word, sticky), swap=len(sticky) % 2 == 1)
-    asm, nibbles = derive_material(base)
+    """A chain's key material, derived once per chain. The 8 matrix-string
+    cells are the order nibbles as rows, then the transposed bit matrix as
+    columns; the mask folds the chain's sticky words into its XOR word."""
+    asm, nibbles = derive_material(chain.base)
     orders = asm.orders
     columns = [sum(((orders[t] >> (3 - c)) & 1) << (3 - t) for t in range(4)) for c in range(4)]
     asm_cells = tuple((ASM, i % 4, m) for i, m in enumerate(orders + tuple(columns)))
-    return CompiledKey(asm, asm.deltas, asm_cells, *_slot_tables(nibbles), base.xor_word, False)
+    mask = fold_mask(chain.base.xor_word, chain.sticky)
+    return CompiledKey(asm, asm.deltas, asm_cells, *_slot_tables(nibbles), mask, len(chain.sticky) % 2 == 1)
 
 
 PRIME_BYTES = (0xFF000000, 0xFF0000, 0xFF00, 0xFF)  # the byte of a mask each prime's pairs read
@@ -270,6 +266,14 @@ def decrypt_block(grid: CipherGrid, chain: KeyChain) -> int:
     return decompress_block(rm, sm, tm, key.deltas)
 
 
+def harden_cells(c: list[Cell], word: int) -> None:
+    """One hardening round on the logical cells _open_grid returns, in place:
+    reseal the four sequence-list cells under nswap(word) with a swap."""
+    word = _nswap(word)
+    for i in range(N_SLOTS):
+        c[SM_BASE + i] = (SM, seal_pairs(c[SM_BASE + i][1], word, True, i))
+
+
 def harden_message(
     grids: Sequence[CipherGrid] | bytes, chain: KeyChain, rng: random.Random | None = None
 ) -> tuple[tuple[CipherGrid, ...] | bytes, KeyChain]:
@@ -277,20 +281,16 @@ def harden_message(
     key and rewrite the sequence portion of every block's ciphertext.
 
     Each grid opens through decrypt's slot gate first and raises what it
-    raises. The round, a swapping seal under nswap(word), rewrites the four
-    logical sequence-list cells; encrypt_block's layout puts them on the wire.
-    Given a CMC1 file's bytes instead of grids, it returns the file's
-    rewritten bytes (_harden_file).
-    """
+    raises. The round (harden_cells) rewrites the four logical sequence-list
+    cells; encrypt_block's layout puts them on the wire. Given a CMC1 file's
+    bytes instead of grids, it returns the file's new bytes (_harden_file)."""
     if isinstance(grids, (bytes, bytearray, memoryview)):
         return _harden_file(grids, chain, rng)
     new_chain = extend_key(chain, rng)
-    word = _nswap(new_chain.sticky[-1])
     out = []
     for grid in grids:
         key, c = _open_grid(grid, chain)
-        for i in range(N_SLOTS):
-            c[SM_BASE + i] = (SM, seal_pairs(c[SM_BASE + i][1], word, True, i))
+        harden_cells(c, new_chain.sticky[-1])
         out.append(CipherGrid(grid.orders, tuple(map(c.__getitem__, key.at)), grid.sticky_rounds + 1))
     return tuple(out), new_chain
 
@@ -300,24 +300,23 @@ def _harden_file(data: bytes, chain: KeyChain, rng: random.Random | None) -> tup
     action opens each distinct block through the slot gate once, first seen
     first, and writes each distinct SM cell's reseal over its own bytes. No
     grid is rebuilt, and no byte changes but those and the header's round
-    count. It raises what reading the whole file and then hardening its
-    grids raises: a container error anywhere, then a failed word draw, then
-    the first gate failure; last, write_key's refusal of a grown chain."""
+    count. The walk's first action draws the word, so the walk raises a
+    container error anywhere, then a failed draw, then the first gate
+    failure; last, write_key refuses a chain too deep for its key file."""
     from . import container  # container imports this module
 
-    try:
-        new_chain = extend_key(chain, rng)
-    except CryptompressError:
-        container.read_cipher(data)  # a container error outranks the failed draw
-        raise
-    word = _nswap(new_chain.sticky[-1])
     key = compile_key(chain)
     wire = sorted(key.slots[SM_BASE : 4 * N_SLOTS])  # the SM cells' wire positions, in wire order
     primes = [key.at[w] - SM_BASE for w in wire]
     sealed: list[dict[Cell, bytes]] = [{} for _ in primes]  # by prime: each SM cell's new bytes
     hardened: dict[bytes, bytes] = {}  # each distinct block's bytes: its new bytes
+    new_chain = word = None
 
     def reseal(grid: CipherGrid, raw: bytes, sm_at: list[int]) -> bytes:
+        nonlocal new_chain, word
+        if new_chain is None:
+            new_chain = extend_key(chain, rng)
+            word = _nswap(new_chain.sticky[-1])
         new_block = hardened.get(raw)
         if new_block is None:
             _open_grid(grid, chain)

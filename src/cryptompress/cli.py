@@ -23,13 +23,13 @@ import sys
 import tempfile
 from typing import Optional, Sequence
 
-# json, csv and .analysis are imported in the commands that use them, so a
-# file command does not load them
+# json, csv and .analysis are imported in the commands that use them, so a file command does not load them
 from . import codec, container
 from .cipher import (
     KIND_NAMES,
     CipherGrid,
     check_rounds,
+    compile_key,
     decrypt_block,
     encrypt_block,
     harden_message,
@@ -431,6 +431,7 @@ def build_parser() -> _Parser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
+    compile_key.cache_clear()  # each command derives its key material afresh, as a fresh process does
     try:
         args = parser.parse_args(argv)
         return args.func(args)

@@ -70,7 +70,7 @@ def _same_sweep(grid, chain, block, bits, harden_every, seed):
     return report
 
 
-@pytest.mark.parametrize("harden_every", [0, 7])
+@pytest.mark.parametrize("harden_every", [0, 1, 3, 7])
 @pytest.mark.parametrize("seed", range(10))
 def test_sweep_matches_one_decrypt_per_candidate(seed, harden_every):
     chain, block, grid = demo_setup(seed)
@@ -86,9 +86,9 @@ def test_sweep_matches_one_decrypt_per_candidate_on_deep_chains(depth):
 
 
 def test_sweep_hardening_after_every_failure_matches_one_decrypt_per_candidate():
-    """harden_every=1 grows a new chain after every failed candidate, each
-    compiled through its base key's structure; the sweep still matches
-    the reference, field for field."""
+    """harden_every=1 hardens after every failed candidate, the reference
+    through a harden_message call and a new chain each time; the sweep
+    still matches it, field for field."""
     chain, block, grid = demo_setup(11)
     report = _same_sweep(grid, chain, block, 8, 1, 11)
     assert report.hardenings_triggered == report.attempts_made - report.success >= 255
@@ -134,10 +134,10 @@ def test_sweep_of_a_grid_the_body_read_refuses_matches_one_decrypt_per_candidate
 
 
 def _sweep_calls(harden_every, monkeypatch):
-    """The report of a 10-bit sweep, the grids it is given or hardens, and
-    the first argument of each call it makes to the key compiler, the fold
-    and the gate."""
-    calls = {"_open_grid": [], "compile_key": [], "fold_mask": []}
+    """The report of a 10-bit sweep, its starting grid, and the first
+    argument of each call it makes to the key compiler, the fold, the gate
+    and the hardening step."""
+    calls = {"_open_grid": [], "compile_key": [], "fold_mask": [], "harden_cells": []}
     for name in calls:
         def counted(*args, _fn=getattr(analysis, name), _name=name):
             calls[_name].append(args[0])
@@ -145,39 +145,39 @@ def _sweep_calls(harden_every, monkeypatch):
 
         monkeypatch.setattr(analysis, name, counted)
     chain, block, grid = demo_setup(0)
-    live = [grid]
-
-    def harden(grids, *args, _fn=analysis.harden_message):
-        out = _fn(grids, *args)
-        live.extend(out[0])
-        return out
-
-    monkeypatch.setattr(analysis, "harden_message", harden)
     report = analysis.bruteforce_demo(grid, chain, block, 10, harden_every, seed=0)
     # one key compiled and one high mask folded per sweep
     assert calls.pop("compile_key") == [chain]
     assert calls.pop("fold_mask") == [chain.base.xor_word >> 10 << 10]
-    return report, live, calls
+    return report, grid, calls
 
 
 def test_baseline_sweep_opens_the_grid_once(monkeypatch):
     """The live grid runs the gate, round check included, once, not once
     per candidate: a candidate costs only its rebuild. reference_bruteforce
     locks each candidate's verdict."""
-    report, live, calls = _sweep_calls(0, monkeypatch)
+    report, grid, calls = _sweep_calls(0, monkeypatch)
     assert report.success and report.attempts_made > 1
-    assert calls == {"_open_grid": live} and len(live) == 1
+    assert calls == {"_open_grid": [grid], "harden_cells": []}
 
 
 def test_hardened_sweep_opens_only_the_starting_grid(monkeypatch):
     """The starting grid runs the gate once, and no hardened grid runs it:
     a hardened grid carries more rounds than the attacker's chain has
-    sticky words, so its round check would refuse every candidate.
-    reference_bruteforce locks each candidate's verdict."""
-    report, live, calls = _sweep_calls(7, monkeypatch)
+    sticky words, so its round check would refuse every candidate. Each
+    hardening reseals the starting grid's logical cells in place, and they
+    end as the cells of as many harden_message calls under the same
+    words. reference_bruteforce locks each candidate's verdict."""
+    report, grid, calls = _sweep_calls(7, monkeypatch)
+    hardened = calls.pop("harden_cells")
     assert report.hardenings_triggered >= 2
-    assert len(live) == report.hardenings_triggered + 1
-    assert calls == {"_open_grid": live[:1]}
+    assert calls == {"_open_grid": [grid]}
+    assert len(hardened) == report.hardenings_triggered
+    assert all(cells is hardened[0] for cells in hardened)
+    chain, rng = demo_setup(0)[0], random.Random(0)
+    for _ in hardened:
+        (grid,), chain = cm.harden_message((grid,), chain, rng)
+    assert hardened[0] == cm.cipher._open_grid(grid, chain)[1]
 
 
 def test_exhaustive_search_succeeds_without_hardening():
@@ -199,29 +199,28 @@ def test_one_restricted_bit_is_the_smallest_keyspace():
 @pytest.mark.parametrize("seed", range(4))
 def test_paired_sweeps_share_one_shuffle(seed, monkeypatch):
     """The hardened sweep reuses the baseline's shuffled order: reports and
-    the grown chain match sweeps that each shuffle afresh."""
+    the defender's words match sweeps that each shuffle afresh."""
     chain, block, grid = demo_setup(seed)
-    grown = []
-    harden = analysis.harden_message
+    words = []
+    step = analysis.harden_cells
 
-    def spy(grids, live_chain, rng):
-        out = harden(grids, live_chain, rng)
-        grown.append(out[1])
-        return out
+    def spy(cells, word):
+        words.append(word)
+        return step(cells, word)
 
-    monkeypatch.setattr(analysis, "harden_message", spy)
+    monkeypatch.setattr(analysis, "harden_cells", spy)
 
     def sweep(harden_every, fresh):
         if fresh:
             analysis._sweep_order.cache_clear()
-        grown.clear()
+        words.clear()
         r = analysis.bruteforce_demo(grid, chain, block, 10, harden_every, seed)
-        return r.attempts_made, r.hardenings_triggered, r.success, grown[-1] if grown else None
+        return r.attempts_made, r.hardenings_triggered, r.success, tuple(words)
 
     paired = [sweep(0, True), sweep(20, False), sweep(20, False)]
     independent = [sweep(0, True), sweep(20, True), sweep(20, True)]
     assert paired == independent
-    assert paired[1][1] > 0 and len(paired[1][3].sticky) == paired[1][1]
+    assert paired[1][1] > 0 and len(paired[1][3]) == paired[1][1]
 
 
 def test_hardening_trigger_arithmetic():
@@ -264,6 +263,17 @@ def test_keyspace_cap():
     for bits in (0, 25):
         with pytest.raises(ValueOutOfRange, match="restricted_bits"):
             analysis.bruteforce_demo(grid, chain, block, bits, 0, seed=4)
+
+
+def test_keyspace_cap_takes_24_bits(monkeypatch):
+    """24 restricted bits is the largest keyspace: with the shuffled order
+    cut to three candidates, a 24-bit sweep runs and a 25-bit one raises."""
+    monkeypatch.setattr(analysis, "_sweep_order", lambda restricted_bits, seed: (0, 1, 2))
+    chain, block, grid = demo_setup(4)
+    report = analysis.bruteforce_demo(grid, chain, block, 24, 2, seed=4)
+    assert report == analysis.AttackReport(24, 3, 1, report.elapsed_seconds, False)
+    with pytest.raises(ValueOutOfRange, match=r"restricted_bits must be in \[1, 24\], got 25"):
+        analysis.bruteforce_demo(grid, chain, block, 25, 2, seed=4)
 
 
 def test_negative_harden_every_is_rejected():

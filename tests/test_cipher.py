@@ -400,10 +400,10 @@ def _stepwise_masks(xor_word, words):
 
 
 def test_cold_compile_of_a_chain_deeper_than_the_recursion_limit_equals_the_stepwise_fold():
-    """A chain takes its structure from its base key's compiled key, one
-    call deep whatever its depth, and folds its own words: from a cleared
-    cache, a 3,000-word chain and every prefix of up to 300 words compile
-    to the base structure under the stepwise mask."""
+    """A chain derives its structure and folds its words without recursing,
+    whatever its depth: from a cleared cache, a 3,000-word chain and every
+    prefix of up to 300 words compile to the base structure under the
+    stepwise mask."""
     rng = random.Random(3000)
     base = generate_key(rng)
     words = tuple(rng.getrandbits(32) for _ in range(3000))
@@ -416,9 +416,10 @@ def test_cold_compile_of_a_chain_deeper_than_the_recursion_limit_equals_the_step
         assert key == root._replace(mask=masks[depth], swap=depth % 2 == 1)
 
 
-def test_a_growing_chain_derives_its_base_key_material_once(monkeypatch):
-    """Each chain that hardening grows compiles through its base key's
-    cached structure, so derive_material runs once per base key."""
+def test_compile_key_derives_material_once_per_distinct_chain(monkeypatch):
+    """Every chain, a grown one included, derives its own material through
+    compile_key's cache: once per distinct chain, and not again on a
+    repeat."""
     calls = []
 
     def counted(base, _fn=cipher.derive_material):
@@ -429,11 +430,25 @@ def test_a_growing_chain_derives_its_base_key_material_once(monkeypatch):
     compile_key.cache_clear()
     rng = random.Random(33)
     chains = [random_chain(rng), random_chain(rng)]
-    for _ in range(40):
-        chains = [extend_key(chain, rng) for chain in chains]
-        for chain in chains:
-            compile_key(chain)
+    for _ in range(3):
+        chains += [extend_key(chain, rng) for chain in chains[-2:]]
+    for chain in chains + chains:
+        compile_key(chain)
     assert calls == [chain.base for chain in chains]
+
+
+def test_the_hardening_step_applied_n_times_equals_n_harden_message_calls(golden_chain, golden_block):
+    """harden_cells on one grid's logical cells, the brute-force defender's
+    step, against harden_message under the same words, cell for cell at
+    every depth from 1 to 300, past the 255 rounds a CMC1 header states."""
+    grid = cm.encrypt_block(golden_block, golden_chain)
+    cells = cipher._open_grid(grid, golden_chain)[1]
+    chain, words, rng = golden_chain, random.Random(300), random.Random(300)
+    for depth in range(1, 301):
+        cipher.harden_cells(cells, words.getrandbits(32))
+        (grid,), chain = cm.harden_message((grid,), chain, rng)
+        assert grid.sticky_rounds == depth and cells == cipher._open_grid(grid, chain)[1]
+    assert cm.decrypt_block(grid, chain) == golden_block
 
 
 def test_only_the_rebuild_gives_an_integrity_failure_a_reason(golden_chain, golden_block):

@@ -260,6 +260,31 @@ def test_analyze_bruteforce_small(bits, capsys):
     assert payload["baseline"]["attempts_made"] <= 1 << bits
 
 
+def test_each_command_derives_its_key_material_afresh(golden_key_file, tmp_path, monkeypatch):
+    """compile_key's cache does not outlive a command: run in one process,
+    each command derives its chain's material once, as a fresh process does."""
+    calls = []
+
+    def counted(base, _fn=cipher.derive_material):
+        calls.append(base)
+        return _fn(base)
+
+    monkeypatch.setattr(cipher, "derive_material", counted)
+    plain, ct, out = tmp_path / "p.bin", tmp_path / "c.cmc", tmp_path / "p.out"
+    plain.write_bytes(bytes(range(256)) * 4)
+    commands = [
+        ["encrypt", "--key", golden_key_file, "--in", str(plain), "--out", str(ct)],
+        ["encrypt", "--key", golden_key_file, "--in", str(plain), "--out", str(ct)],
+        ["decrypt", "--key", golden_key_file, "--in", str(ct), "--out", str(out)],
+        ["harden", "--key", golden_key_file, "--cipher", str(ct)],
+        ["decrypt", "--key", golden_key_file, "--in", str(ct), "--out", str(out)],
+    ]
+    for n, argv in enumerate(commands, 1):
+        assert main(argv) == 0
+        assert len(calls) == n, argv
+    assert out.read_bytes() == plain.read_bytes()
+
+
 @pytest.mark.parametrize("flags", [[], ["--biased"]])
 def test_analyze_compression_draws_no_key(flags, monkeypatch, capsys):
     def no_key(*args):

@@ -386,6 +386,56 @@ def test_zero_block_count_rejected():
         container.read_cipher(data)
 
 
+# What read_header raises on each 0- to 10-byte prefix of a valid header.
+_SHORT_HEADERS = [
+    *[f"Truncated: need 4 bytes at offset 0, only {n} left" for n in range(4)],
+    "Truncated: need 1 bytes at offset 4, only 0 left",
+    *[f"Truncated: need 5 bytes at offset 5, only {n} left" for n in range(5)],
+    "Truncated: need 1 bytes at offset 10, only 0 left",
+]
+# Each header field valid, then each invalid in turn: the 11-byte header and
+# what read_header gives each of its prefixes of 0 to 11 bytes.
+_HEADERS = {
+    "valid": (b"CMC1\x01\x02\x00\x00\x00\x01\x08", _SHORT_HEADERS + [(2, 1, 8)]),
+    "bad_magic": (
+        b"CMC2\x01\x02\x00\x00\x00\x01\x08",
+        _SHORT_HEADERS[:4] + ["BadMagic: expected b'CMC1', got b'CMC2'"] * 8,
+    ),
+    "bad_version": (
+        b"CMC1\x02\x02\x00\x00\x00\x01\x08",
+        _SHORT_HEADERS[:5] + ["BadVersion: unsupported cipher file version 2"] * 7,
+    ),
+    "zero_blocks": (
+        b"CMC1\x01\x02\x00\x00\x00\x00\x08",
+        _SHORT_HEADERS[:10] + ["MalformedCell: cipher file declares zero blocks"] * 2,
+    ),
+    "tail_out_of_range": (
+        b"CMC1\x01\x02\x00\x00\x00\x01\x1f",
+        _SHORT_HEADERS + ["MalformedCell: tail_bits must be in [1,30], got 31"],
+    ),
+    "tail_not_whole_bytes": (
+        b"CMC1\x01\x02\x00\x00\x00\x01\x07",
+        _SHORT_HEADERS + ["MalformedCell: 1 blocks with 7 tail bits are not whole bytes"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _HEADERS)
+def test_read_header_at_every_length_pins_its_class_and_message(name):
+    """Every prefix of 0 to 11 bytes of a header, with each field valid and
+    invalid in turn: the exact error class and message, or the fields. A
+    5-byte file with a bad version is a BadVersion and a 10-byte one that
+    declares zero blocks a MalformedCell, not a Truncated."""
+    header, expected = _HEADERS[name]
+    got = []
+    for n in range(len(header) + 1):
+        try:
+            got.append(container.read_header(header[:n]))
+        except ContainerError as exc:
+            got.append(f"{type(exc).__name__}: {exc}")
+    assert got == expected
+
+
 def test_header_accepts_exactly_the_tails_of_byte_payloads(golden_chain, golden_block):
     """read_header takes (count, tail_bits) only when 30*(count - 1) +
     tail_bits is whole bytes, which is every pair a byte payload yields and
