@@ -25,7 +25,7 @@ from .cipher import (
     unseal_mask,
 )
 from .container import compressed_size_bits, write_cipher, CipherMessage
-from .engine import compress_block, rebuild
+from .engine import compress_block, rebuild, replay
 from .errors import CryptompressError, EmptyInput, ValueOutOfRange
 from .keyschedule import KeyChain
 
@@ -115,9 +115,18 @@ def bruteforce_demo(
     returns a refusal as a tuple, which never equals the known block, so a
     refused candidate raises no exception. The mask fold is linear, so that
     mask is the unseal mask of the high bits, folded once, XOR the
-    candidate's low bits. No candidate is tried on a hardened grid; the
-    defender reseals the starting grid's cells in place (harden_cells)
-    with random.Random(seed)'s words, drawn as extend_key draws them."""
+    candidate's low bits.
+
+    Candidates differ only in the mask bytes the low bits reach. The lead
+    is the first occupied term slot whose prime reads such a byte: the
+    rebuild's checks up to and including the lead read only fixed bytes and
+    the lead's byte, so their verdict (engine.replay over the slots up to
+    the lead) is memoised by that byte, at most 256 verdicts per sweep.
+    Only a candidate that passes it runs the whole rebuild; with no lead,
+    one verdict serves every candidate. Every candidate is still counted,
+    in order. No candidate is tried on a hardened grid; the defender
+    reseals the starting grid's cells in place (harden_cells) with
+    random.Random(seed)'s words, drawn as extend_key draws them."""
     if not 1 <= restricted_bits <= MAX_RESTRICTED_BITS:
         raise ValueOutOfRange(f"restricted_bits must be in [1, {MAX_RESTRICTED_BITS}], got {restricted_bits}")
     if harden_every < 0:
@@ -135,19 +144,29 @@ def bruteforce_demo(
     except CryptompressError:  # the grid fails every candidate
         stored = None
     else:
-        u2, u3, u5, u7 = [
+        u2, u3, u5, u7 = unseal = [
             cache(lambda mask, pairs=pairs, i=i: seal_pairs(pairs, mask, key.swap, i)) for i, pairs in enumerate(stored)
         ]
         b2, b3, b5, b7 = PRIME_BYTES
+        # The slots up to and including the lead, the first whose byte the
+        # low bits reach; a mask's bytes for them key the verdict.
+        slots = [slot for slot in tm if slot is not None]
+        low = (1 << restricted_bits) - 1
+        head = slots[: next((n + 1 for n, (t, _) in enumerate(slots) if PRIME_BYTES[t] & low), len(slots))]
+        head_bytes = sum({PRIME_BYTES[t] for t, _ in head})
+        passes = cache(
+            lambda m: not isinstance(replay(head, rm, {t: unseal[t](m & PRIME_BYTES[t]) for t, _ in head}, key.deltas), tuple)
+        )
     failures = 0
     success = False
     for value in order:
         if stored is not None:
             mask = high_mask ^ value
-            sm = {0: u2(mask & b2), 1: u3(mask & b3), 2: u5(mask & b5), 3: u7(mask & b7)}
-            if rebuild(rm, sm, tm, key.deltas) == known_block:
-                success = True
-                break
+            if passes(mask & head_bytes):
+                sm = {0: u2(mask & b2), 1: u3(mask & b3), 2: u5(mask & b5), 3: u7(mask & b7)}
+                if rebuild(rm, sm, tm, key.deltas) == known_block:
+                    success = True
+                    break
         failures += 1
         if harden_every and failures % harden_every == 0:
             harden_cells(c or _open_grid(grid, chain)[1], rng.getrandbits(32))  # a grid the gate refused raises here

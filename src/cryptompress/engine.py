@@ -136,34 +136,30 @@ FAILURES = {
 }
 
 
-def rebuild(
+def replay(
+    slots: Sequence[tuple[int, int]],
     rm: Sequence[Optional[int]],
     sm: Mapping[int, Sequence[tuple[int, int]]],
-    tm: Sequence[Optional[tuple[int, int]]],
     deltas: Sequence[Sequence[int]],
-) -> int | tuple:
-    """Rebuild the 30-bit block from the three matrices of a
-    CompressedBlock and the delta table compress_block took; exact
-    inverse of compress_block for honest inputs. On failure it returns,
-    without raising, the tuple (reason, *details) that FAILURES[reason]
-    formats; a tuple never equals a block.
+) -> list[int] | tuple:
+    """Place the targets of `slots`, occupied term slots in TM order, from
+    an empty block and check each: the rebuild's per-target checks, in its
+    order. Returns the placed symbols as prime indices, or the first
+    failure as rebuild returns it.
 
-    The structure comes from TM and SM alone. Term slots are replayed left
-    to right, each target placed in front of the cells of the targets
-    processed after it: its events put its absorbed runs among those cells
-    and every other sequence number crosses one of them, so the crossings
-    must number exactly the cells already placed. RM is then a keyed
-    checksum: the compressor's cursor crosses each placed cell once, so a
-    target's outcome must be t*count(t) plus the sum of deltas[t][c] over
-    the placed cells. Any other state means wrong key or tampering.
+    Each target is placed in front of the cells of the targets processed
+    after it: its events put its absorbed runs among those cells and every
+    other sequence number crosses one of them, so the crossings must number
+    exactly the cells already placed. RM is then a keyed checksum: the
+    compressor's cursor crosses each placed cell once, so a target's
+    outcome must be t*count(t) plus the sum of deltas[t][c] over the placed
+    cells. A target's checks read only its own events and outcome and the
+    targets before it, so replaying a prefix of the slots gives the
+    verdict rebuild reaches at the prefix's last target.
     """
-    occupied = [slot for slot in tm if slot is not None]
-    if None in tm[: len(occupied)]:
-        return ("term_prefix", tuple(tm))
     block: list[int] = []
     counts = [0] * len(PRIMES)
-    n_events = 0
-    for t, last_seq in occupied:
+    for t, last_seq in slots:
         events = sm[t]
         placed = len(block)
         if counts[t]:
@@ -183,13 +179,43 @@ def rebuild(
         if rm[t] != PRIMES[t] * (len(rebuilt) - placed) + sum(map(mul, deltas[t], counts)):
             return ("rm_checksum", PRIMES[t], rm[t])
         counts[t] = len(rebuilt) - placed
-        n_events += len(events)
         block = rebuilt
+    return block
+
+
+def rebuild(
+    rm: Sequence[Optional[int]],
+    sm: Mapping[int, Sequence[tuple[int, int]]],
+    tm: Sequence[Optional[tuple[int, int]]],
+    deltas: Sequence[Sequence[int]],
+) -> int | tuple:
+    """Rebuild the 30-bit block from the three matrices of a
+    CompressedBlock and the delta table compress_block took; exact
+    inverse of compress_block for honest inputs. On failure it returns,
+    without raising, the tuple (reason, *details) that FAILURES[reason]
+    formats; a tuple never equals a block.
+
+    The structure comes from TM and SM alone: the occupied term slots must
+    be a left prefix, replay places and checks their targets left to
+    right, and the block must come to 15 symbols with no outcome or event
+    outside those targets. Any other state means wrong key or tampering.
+    No check before a target's slot reads that target's events, so
+    analysis.bruteforce_demo, whose candidates differ only in the events of
+    some primes, memoises replay's verdict up to the first of those by its
+    mask byte, and rebuilds only the candidates that pass it.
+    """
+    occupied = [slot for slot in tm if slot is not None]
+    if None in tm[: len(occupied)]:
+        return ("term_prefix", tuple(tm))
+    block = replay(occupied, rm, sm, deltas)
+    if isinstance(block, tuple):
+        return block
     if len(block) != SYMBOLS_PER_BLOCK:
         return ("size", len(block))
-    # Every target passed the checksum, so it has an outcome; the counts
-    # match only if no other prime has an outcome or events.
-    if rm.count(None) != len(PRIMES) - len(occupied) or sum(map(len, sm.values())) != n_events:
+    # Every target passed the checksum, so it has an outcome; the count
+    # matches only if no other prime has one, and then the primes without
+    # an outcome are the others, which must have no events.
+    if rm.count(None) != len(PRIMES) - len(occupied) or any(sm[t] for t, r in enumerate(rm) if r is None):
         return ("orphan_outcome",)
     return sum(map(lshift, block, SHIFTS))
 

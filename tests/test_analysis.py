@@ -4,7 +4,8 @@ import pytest
 
 import cryptompress as cm
 from cryptompress import analysis, container
-from cryptompress.cipher import N_SLOTS, SM, SM_BASE, TM, compile_key
+from cryptompress.cipher import N_SLOTS, PRIME_BYTES, SM, SM_BASE, TM, _open_grid, compile_key, read_body, seal_pairs, unseal_mask
+from cryptompress.engine import rebuild
 from cryptompress.errors import CryptompressError, EmptyInput, IntegrityFailure, ValueOutOfRange
 from cryptompress.keyschedule import KeyChain, derive_material, extend_key, generate_key
 
@@ -178,6 +179,170 @@ def test_hardened_sweep_opens_only_the_starting_grid(monkeypatch):
     for _ in hardened:
         (grid,), chain = cm.harden_message((grid,), chain, rng)
     assert hardened[0] == cm.cipher._open_grid(grid, chain)[1]
+
+
+def _unmemoised(grid, chain, block, bits, harden_every, seed, monkeypatch):
+    """bruteforce_demo with every lead verdict passing, so that each
+    candidate runs the whole rebuild, as the sweep did before the memo."""
+    with monkeypatch.context() as m:
+        m.setattr(analysis, "replay", lambda *args: [])
+        return analysis.bruteforce_demo(grid, chain, block, bits, harden_every, seed)
+
+
+def _lead(grid, chain, bits):
+    """The prime of the first occupied term slot whose mask byte the low
+    `bits` bits reach, or None."""
+    tm = read_body(_open_grid(grid, chain)[1])[1]
+    return next((cm.PRIMES[t] for t, _ in filter(None, tm) if PRIME_BYTES[t] & ((1 << bits) - 1)), None)
+
+
+# reference_bruteforce hardens through harden_message, whose cost grows with
+# the chain, so it takes seconds to minutes on these; they meet the
+# unmemoised sweep instead, which the reference locks at the other sizes.
+_QUADRATIC = {(12, 1), (16, 1), (16, 3)}
+
+
+@pytest.mark.parametrize("harden_every", [0, 1, 3, 500])
+@pytest.mark.parametrize("bits", [4, 8, 12, 16])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_lead_memo_keeps_every_report_field(seed, bits, harden_every, monkeypatch):
+    """Seed 0's lead is its first term slot, prime 7. Seed 1's follows
+    fixed-byte targets: prime 7 in its last slot below 9 bits, prime 5
+    after prime 3 from 9 bits. At 4 and 12 bits the lead byte is partly
+    covered. Every report field but elapsed_seconds equals
+    reference_bruteforce's and the unmemoised sweep's."""
+    chain, block, grid = demo_setup(seed)
+    assert _lead(grid, chain, bits) == (7 if seed == 0 or bits < 9 else 5)
+    report = analysis.bruteforce_demo(grid, chain, block, bits, harden_every, seed)
+    unmemoised = _unmemoised(grid, chain, block, bits, harden_every, seed, monkeypatch)
+    assert report._replace(elapsed_seconds=0.0) == unmemoised._replace(elapsed_seconds=0.0)
+    if (bits, harden_every) not in _QUADRATIC:
+        _same_sweep(grid, chain, block, bits, harden_every, seed)
+
+
+_TARGET_REASONS = ("duplicate_target", "crossings", "event_order", "rm_checksum")
+
+
+@pytest.mark.parametrize("seed, lead, reached", [(0, 7, 81), (1, 5, 12)])
+def test_only_candidates_passing_the_lead_verdict_reach_the_rebuild(seed, lead, reached, monkeypatch):
+    """At 16 bits the candidates' masks differ in the bytes of primes 5 and
+    7. Seed 0's first term slot is prime 7, and 21,877 of its 21,958
+    candidates fail there; seed 1's lead is prime 5, after the fixed prime
+    3, and 539 of its 551 fail there. None of them reaches the rebuild.
+    Each candidate's unsealed pairs come here from its own compiled chain,
+    and its whole rebuild decides whether it fails at the lead or before."""
+    chain, block, grid = demo_setup(seed)
+    calls = []
+
+    def spy(rm, sm, tm, deltas):
+        calls.append(sm)
+        return rebuild(rm, sm, tm, deltas)
+
+    monkeypatch.setattr(analysis, "rebuild", spy)
+    report = analysis.bruteforce_demo(grid, chain, block, 16, 0, seed)
+    assert report.success and _lead(grid, chain, 16) == lead
+    rm, tm, stored = read_body(_open_grid(grid, chain)[1])
+    slots = [cm.PRIMES[t] for t, _ in filter(None, tm)]
+    head = slots[: slots.index(lead) + 1]
+    deltas = compile_key(chain).deltas
+    expected = []
+    for value in analysis._sweep_order(16, seed)[: report.attempts_made]:
+        key = compile_key(candidate_chain(chain, 16, value))
+        sm = {i: seal_pairs(pairs, unseal_mask(key), key.swap, i) for i, pairs in enumerate(stored)}
+        out = rebuild(rm, sm, tm, deltas)
+        if not (type(out) is tuple and out[0] in _TARGET_REASONS and out[1] in head):
+            expected.append(sm)
+    assert len(calls) == reached
+    assert calls == expected
+
+
+@pytest.mark.parametrize(
+    "seed, bits, replays, attempts",
+    [(0, 1, 2, 2), (0, 4, 9, 9), (0, 16, 256, 21958), (1, 8, 26, 26), (1, 12, 16, 137), (1, 16, 225, 551)],
+)
+def test_lead_verdict_is_replayed_once_per_lead_byte(seed, bits, replays, attempts, monkeypatch):
+    """The memo replays the slots up to and including the lead, and no
+    further, once for each distinct byte of the lead prime among the
+    candidates tried on the starting grid. Seed 1's low 12 bits cover half
+    of prime 5's byte, so its 137 candidates need 16 verdicts."""
+    calls = []
+    real = analysis.replay
+    monkeypatch.setattr(analysis, "replay", lambda *args: calls.append(args[0]) or real(*args))
+    chain, block, grid = demo_setup(seed)
+    report = analysis.bruteforce_demo(grid, chain, block, bits, 0, seed)
+    assert report.attempts_made == attempts
+    lead = cm.PRIMES.index(_lead(grid, chain, bits))
+    tm = read_body(_open_grid(grid, chain)[1])[1]
+    slots = [slot for slot in tm if slot]
+    head = slots[: [t for t, _ in slots].index(lead) + 1]
+    tried = analysis._sweep_order(bits, seed)[:attempts]
+    assert len(calls) == len({value & PRIME_BYTES[lead] for value in tried}) == replays
+    assert calls == [head] * replays
+
+
+@pytest.mark.parametrize("harden_every", [0, 7])
+@pytest.mark.parametrize("bits", [20, 24])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_lead_memo_above_16_bits_on_a_short_order(seed, bits, harden_every, monkeypatch):
+    """Above 16 bits prime 3's byte varies too, so seed 1's lead is its
+    first term slot, prime 3. The shuffled order is cut to 300 random
+    candidates, the true low bits at index 200."""
+    chain, block, grid = demo_setup(seed)
+    rng = random.Random(seed)
+    order = [rng.getrandbits(bits) for _ in range(300)]
+    order[200] = chain.base.xor_word & ((1 << bits) - 1)
+    monkeypatch.setattr(analysis, "_sweep_order", lambda restricted_bits, seed: tuple(order))
+    assert _lead(grid, chain, bits) == (7, 3)[seed]
+    report = _same_sweep(grid, chain, block, bits, harden_every, seed)
+    assert report.success == (harden_every == 0)
+
+
+def _symbol_setup(seed, symbols):
+    chain = KeyChain(base=generate_key(random.Random(seed)))
+    block = cm.symbols_to_block(symbols)
+    return chain, block, cm.encrypt_block(block, chain)
+
+
+@pytest.mark.parametrize("harden_every", [0, 3])
+def test_a_sweep_with_no_keyed_target_decides_every_candidate_by_one_verdict(harden_every, monkeypatch):
+    """A block of 2s and 3s occupies only the term slots of primes 2 and 3,
+    whose mask bytes no candidate reaches below 17 bits. There is no lead:
+    one replay verdict serves every candidate, and each one tried on the
+    starting grid runs the whole rebuild. Against another known block
+    every candidate fails."""
+    calls = {"replay": 0, "rebuild": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(analysis, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(analysis, name, counted)
+    chain, block, grid = _symbol_setup(8, [2, 3, 3, 2, 2, 2, 3, 2, 3, 3, 3, 2, 2, 3, 2])
+    assert _lead(grid, chain, 16) is None
+    for known, attempts in ((block, 1), (block ^ 1, 256)):
+        calls.update(replay=0, rebuild=0)
+        report = _same_sweep(grid, chain, known, 8, harden_every, 8)
+        assert (report.attempts_made, report.success) == (attempts, known == block)
+        assert calls == {"replay": 1, "rebuild": min(attempts, harden_every or attempts)}
+
+
+@pytest.mark.parametrize("harden_every", [0, 5])
+def test_a_term_column_that_is_not_a_left_prefix_fails_every_candidate(harden_every):
+    """A block of three primes leaves its last term slot empty. Swapping
+    that cell with the first term cell passes the gate, which allows any
+    three of the four term slots, and leaves a TM the rebuild refuses
+    (term_prefix) under every key, whatever the lead's verdict."""
+    chain, block, grid = _symbol_setup(9, [7, 2, 5, 5, 7, 2, 2, 5, 7, 7, 2, 5, 2, 7, 5])
+    key = compile_key(chain)
+    a, b = key.slots[4 * N_SLOTS], key.slots[4 * N_SLOTS + 3]
+    cells = list(grid.cells)
+    cells[a], cells[b] = cells[b], cells[a]
+    bad = grid._replace(cells=tuple(cells))
+    with pytest.raises(IntegrityFailure, match="not a left prefix"):
+        cm.decrypt_block(bad, chain)
+    assert _lead(bad, chain, 8) == 7
+    report = _same_sweep(bad, chain, block, 8, harden_every, 9)
+    assert report.attempts_made == 256 and not report.success
 
 
 def test_exhaustive_search_succeeds_without_hardening():

@@ -1,11 +1,12 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cryptompress import codec
 from cryptompress.cipher import seal_pairs
-from cryptompress.engine import AddSubMatrix, CompressedBlock, compress_block, decompress_block, rebuild
+from cryptompress.engine import AddSubMatrix, CompressedBlock, compress_block, decompress_block, rebuild, replay
 from cryptompress.errors import IntegrityFailure, ValueOutOfRange
 from test_acceptance import closed_form_outcomes
 from test_compress_oracle import EmptyResidual, SequenceEvent, traverse_target
@@ -282,6 +283,31 @@ def test_each_rebuild_failure_returns_its_reason_and_raises_its_message(reason, 
     assert info.value.reason == reason
 
 
+# Failures at the edges of a check, each with the details rebuild returns
+# and the message decompress_block raises: crossings counted net of a
+# slot's events, and an event at sequence 15, which no 15-symbol block
+# has, refused even when the slot's checksum and crossings hold.
+EDGE_FAILURES = [
+    (
+        CompressedBlock((2, None, None, None), {**_NO_EVENTS, 0: [(1, 1)]}, ((0, 3), None, None, None)),
+        ("crossings", 2, 2, 0),
+        "prime 2: 2 crossings over 0 placed cells",
+    ),
+    (
+        CompressedBlock((32, None, None, None), {**_NO_EVENTS, 0: [(k, 1) for k in range(1, 16)]}, ((0, 15), None, None, None)),
+        ("event_order", 2, 15, 1),
+        "prime 2: event (15,1) out of order or range",
+    ),
+]
+
+
+@pytest.mark.parametrize("cb, failure, message", EDGE_FAILURES, ids=["crossings_net_of_events", "event_at_15"])
+def test_rebuild_failures_at_the_edges_of_a_check(cb, failure, message):
+    assert rebuild(*cb, _ALL_MINUS) == failure
+    with pytest.raises(IntegrityFailure, match=rf"^{re.escape(message)}$"):
+        decompress_block(*cb, _ALL_MINUS)
+
+
 def test_rebuild_matches_decompress_on_20000_blocks_under_correct_and_random_masks():
     """A differential over seeded blocks, each unsealed under the right
     mask and under a random one: rebuild returns exactly the block
@@ -307,3 +333,36 @@ def test_rebuild_matches_decompress_on_20000_blocks_under_correct_and_random_mas
                 outcomes["block"] += 1
         assert rebuild(*cb, deltas) == block
     assert min(outcomes.values()) > 1000
+
+
+def test_replay_of_each_prefix_gives_the_rebuild_verdict_at_its_last_target():
+    """replay over the first k occupied term slots, for every k: an empty
+    prefix places nothing; a prefix passes with the symbols placed so far
+    until the first failing target, from which every longer prefix returns
+    that failure, the one rebuild returns. analysis.bruteforce_demo relies
+    on this to decide a candidate at its first keyed target."""
+    rng = random.Random(32)
+    tables = [AddSubMatrix(tuple(rng.randrange(16) for _ in range(4))).deltas for _ in range(50)]
+    failed_at = [0] * 5
+    for n in range(5000):
+        deltas = tables[n % len(tables)]
+        cb = compress_block(rng.getrandbits(codec.BLOCK_BITS), deltas)
+        mask, swap = rng.getrandbits(32), bool(rng.getrandbits(1))
+        sm = {i: seal_pairs(cb.sm[i], mask, swap, i) for i in range(4)} if n % 4 else cb.sm
+        slots = [slot for slot in cb.tm if slot is not None]
+        verdicts = [replay(slots[:k], cb.rm, sm, deltas) for k in range(len(slots) + 1)]
+        assert verdicts[0] == []
+        first = next((k for k, v in enumerate(verdicts) if type(v) is tuple), None)
+        if first is None:
+            assert all(type(v) is list for v in verdicts)
+            assert [len(v) for v in verdicts] == sorted({len(v) for v in verdicts})
+            out = rebuild(cb.rm, sm, cb.tm, deltas)
+            assert type(out) is int or out[0] in ("size", "orphan_outcome")
+            failed_at[4] += 1
+        else:
+            assert verdicts[first:] == [verdicts[first]] * (len(verdicts) - first)
+            assert verdicts[first][1] == codec.PRIMES[slots[first - 1][0]]
+            assert rebuild(cb.rm, sm, cb.tm, deltas) == verdicts[first]
+            failed_at[first - 1] += 1
+    # a wrong mask seldom passes three targets: none of these fails at the fourth
+    assert all(failed_at[k] > 0 for k in (0, 1, 2, 4))
