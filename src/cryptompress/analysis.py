@@ -9,6 +9,7 @@ JSON/CSV through _asdict(), and RatioReport.to_dict adds its means.
 import random
 import time
 from functools import cache, lru_cache
+from math import inf
 from typing import NamedTuple
 
 from . import codec
@@ -21,7 +22,7 @@ from .cipher import (
     fold_mask,
     harden_cells,
     read_body,
-    seal_pairs,
+    unseal,
     unseal_mask,
 )
 from .container import compressed_size_bits, write_cipher, CipherMessage
@@ -31,6 +32,24 @@ from .keyschedule import KeyChain
 
 MAX_RESTRICTED_BITS = 24
 MIN_SAMPLES = 100
+# Each analyze parameter's closed range, by name, in the order the CLI checks them.
+BOUNDS = {
+    "restricted_bits": (1, MAX_RESTRICTED_BITS),
+    "harden_every": (0, inf),
+    "count": (1, inf),
+    "stay": (0, 1),
+    "samples": (MIN_SAMPLES, inf),
+}
+
+
+def check_bounds(**values) -> None:
+    """Raise ValueOutOfRange for the first of `values`, in the order given, outside
+    its BOUNDS range (a NaN included); the message starts with the parameter's name."""
+    for name, value in values.items():
+        low, high = BOUNDS[name]
+        if not low <= value <= high:
+            within = f"at least {low}" if high == inf else f"in [{low}, {high}]"
+            raise ValueOutOfRange(f"{name} must be {within}, got {value}")
 
 
 class AttackReport(NamedTuple):
@@ -108,29 +127,21 @@ def bruteforce_demo(
     unsuccessful sweep: the restart cost hardening imposes.
 
     The key structure, the slot gate and the body read read no bit of the
-    XOR word, the demo's whole keyspace. So the sweep compiles one key and
-    opens the starting grid once under `chain`; per candidate it only
-    rebuilds the block under the candidate's unseal mask, with each prime's
-    unsealed pairs cached by that prime's byte of the mask. The rebuild
-    returns a refusal as a tuple, which never equals the known block, so a
-    refused candidate raises no exception. The mask fold is linear, so that
-    mask is the unseal mask of the high bits, folded once, XOR the
-    candidate's low bits.
-
-    Candidates differ only in the mask bytes the low bits reach. The lead
-    is the first occupied term slot whose prime reads such a byte: the
-    rebuild's checks up to and including the lead read only fixed bytes and
-    the lead's byte, so their verdict (engine.replay over the slots up to
-    the lead) is memoised by that byte, at most 256 verdicts per sweep.
-    Only a candidate that passes it runs the whole rebuild; with no lead,
-    one verdict serves every candidate. Every candidate is still counted,
-    in order. No candidate is tried on a hardened grid; the defender
-    reseals the starting grid's cells in place (harden_cells) with
+    XOR word, the demo's whole keyspace, so the sweep compiles one key and
+    opens the starting grid once under `chain`. The mask fold is linear, so
+    a candidate's unseal mask is the high bits' unseal mask, folded once,
+    XOR its low bits, and cipher.unseal under it gives the SM the rebuild
+    takes, as in decrypt_block. Candidates differ only in the mask bytes
+    the low bits reach; the lead is the first occupied term slot whose
+    prime reads one. The rebuild's checks up to and including the lead read
+    no other varying byte, so their verdict (engine.replay) is memoised by
+    the lead's byte, at most 256 per sweep (one with no lead), and only a
+    candidate that passes runs the whole rebuild, whose refusal is a tuple
+    that never equals the known block. Every candidate is still counted, in
+    order. No candidate is tried on a hardened grid; the defender reseals
+    the starting grid's cells in place (harden_cells) with
     random.Random(seed)'s words, drawn as extend_key draws them."""
-    if not 1 <= restricted_bits <= MAX_RESTRICTED_BITS:
-        raise ValueOutOfRange(f"restricted_bits must be in [1, {MAX_RESTRICTED_BITS}], got {restricted_bits}")
-    if harden_every < 0:
-        raise ValueOutOfRange(f"harden_every must be at least 0, got {harden_every}")
+    check_bounds(restricted_bits=restricted_bits, harden_every=harden_every)
     order = _sweep_order(restricted_bits, seed)
     rng = random.Random(seed)
     start = time.perf_counter()  # after the shuffle, which the paired sweeps share
@@ -144,29 +155,19 @@ def bruteforce_demo(
     except CryptompressError:  # the grid fails every candidate
         stored = None
     else:
-        u2, u3, u5, u7 = unseal = [
-            cache(lambda mask, pairs=pairs, i=i: seal_pairs(pairs, mask, key.swap, i)) for i, pairs in enumerate(stored)
-        ]
-        b2, b3, b5, b7 = PRIME_BYTES
-        # The slots up to and including the lead, the first whose byte the
-        # low bits reach; a mask's bytes for them key the verdict.
+        # head: the occupied slots up to and including the lead; head_bytes key its verdict
         slots = [slot for slot in tm if slot is not None]
         low = (1 << restricted_bits) - 1
         head = slots[: next((n + 1 for n, (t, _) in enumerate(slots) if PRIME_BYTES[t] & low), len(slots))]
         head_bytes = sum({PRIME_BYTES[t] for t, _ in head})
-        passes = cache(
-            lambda m: not isinstance(replay(head, rm, {t: unseal[t](m & PRIME_BYTES[t]) for t, _ in head}, key.deltas), tuple)
-        )
-    failures = 0
-    success = False
+        passes = cache(lambda m: not isinstance(replay(head, rm, unseal(stored, m, key.swap), key.deltas), tuple))
+    failures, success = 0, False
     for value in order:
         if stored is not None:
             mask = high_mask ^ value
-            if passes(mask & head_bytes):
-                sm = {0: u2(mask & b2), 1: u3(mask & b3), 2: u5(mask & b5), 3: u7(mask & b7)}
-                if rebuild(rm, sm, tm, key.deltas) == known_block:
-                    success = True
-                    break
+            if passes(mask & head_bytes) and rebuild(rm, unseal(stored, mask, key.swap), tm, key.deltas) == known_block:
+                success = True
+                break
         failures += 1
         if harden_every and failures % harden_every == 0:
             harden_cells(c or _open_grid(grid, chain)[1], rng.getrandbits(32))  # a grid the gate refused raises here
@@ -206,8 +207,7 @@ def compression_stats(blocks: list[int]) -> RatioReport:
 def biased_blocks(count: int, seed: int, stay: float = 0.8) -> list[int]:
     """Blocks whose symbol stream repeats with probability `stay`:
     run-heavy inputs, the scheme's favourable case."""
-    if not 0 <= stay <= 1:
-        raise ValueOutOfRange("stay probability must be in [0,1]")
+    check_bounds(stay=stay)
     rng = random.Random(seed)
     out = []
     for _ in range(count):
@@ -240,8 +240,7 @@ def _hamming(a: bytes, b: bytes) -> int:
 def avalanche_test(samples: int, chain: KeyChain, seed: int) -> AvalancheReport:
     """Flip one random plaintext bit per sample and report the Hamming
     distance between the serialized grids (shorter one zero-padded)."""
-    if samples < MIN_SAMPLES:
-        raise ValueOutOfRange(f"need at least {MIN_SAMPLES} samples")
+    check_bounds(samples=samples)
     rng = random.Random(seed)
     distances = []
     for _ in range(samples):

@@ -251,19 +251,19 @@ def unseal_mask(key: CompiledKey) -> int:
     return _nswap(key.mask) if key.swap else key.mask
 
 
+def unseal(stored: list, mask: int, swap: bool) -> dict[int, tuple[tuple[int, int], ...]]:
+    """read_body's stored pairs under an unseal mask: the rebuild's SM, by prime index."""
+    return {i: seal_pairs(pairs, mask, swap, i) for i, pairs in enumerate(stored)}
+
+
 def decrypt_block(grid: CipherGrid, chain: KeyChain) -> int:
-    """Invert encrypt_block in one pass: the slot gate, the body read, then
-    the rebuild, which unseals each prime's stored pairs under the key's
-    unseal mask and decompresses. Raises what _open_grid raises, then what
-    read_body raises, then IntegrityFailure, its `reason` set, when the
-    rebuild or the RM checksum fails."""
+    """Invert encrypt_block in one pass: the slot gate, the body read, then the
+    rebuild of the stored pairs unsealed under the key's unseal mask. Raises what
+    _open_grid raises, then what read_body raises, then IntegrityFailure, its
+    `reason` set, when the rebuild or the RM checksum fails."""
     key, c = _open_grid(grid, chain)
     rm, tm, stored = read_body(c)
-    mask = unseal_mask(key)
-    sm = {}
-    for i, pairs in enumerate(stored):
-        sm[i] = seal_pairs(pairs, mask, key.swap, i)
-    return decompress_block(rm, sm, tm, key.deltas)
+    return decompress_block(rm, unseal(stored, unseal_mask(key), key.swap), tm, key.deltas)
 
 
 def harden_cells(c: list[Cell], word: int) -> None:

@@ -35,7 +35,7 @@ from .cipher import (
     harden_message,
 )
 from .engine import TraceStep, compress_block
-from .errors import CryptompressError, IntegrityFailure, RoundCountMismatch
+from .errors import CryptompressError, IntegrityFailure, RoundCountMismatch, ValueOutOfRange
 from .keyschedule import KeyChain, derive_material, generate_key
 
 PRIMES = codec.PRIMES
@@ -316,22 +316,25 @@ def _cmd_trace(args) -> int:
     return 0
 
 
+def _check_bounds(args) -> None:
+    """analysis.check_bounds on the command's bounded options, its error a usage error under the --flag."""
+    from . import analysis
+    try:
+        analysis.check_bounds(**{name: getattr(args, name) for name in analysis.BOUNDS if hasattr(args, name)})
+    except ValueOutOfRange as exc:
+        name, rest = str(exc).split(" ", 1)
+        raise UsageError(f"--{name.replace('_', '-')} {rest}")
+
+
 def _cmd_analyze_bruteforce(args) -> int:
     from . import analysis
-    if not 1 <= args.restricted_bits <= analysis.MAX_RESTRICTED_BITS:
-        raise UsageError(
-            f"--restricted-bits must be in [1, {analysis.MAX_RESTRICTED_BITS}], got {args.restricted_bits}"
-        )
-    if args.harden_every < 0:
-        raise UsageError(f"--harden-every must be at least 0, got {args.harden_every}")
+    _check_bounds(args)
     rng = random.Random(args.seed)
     chain = KeyChain(base=generate_key(rng))
     block = analysis.demo_block(rng)
     grid = encrypt_block(block, chain)
     baseline = analysis.bruteforce_demo(grid, chain, block, args.restricted_bits, 0, args.seed)
-    hardened = analysis.bruteforce_demo(
-        grid, chain, block, args.restricted_bits, args.harden_every, args.seed
-    )
+    hardened = analysis.bruteforce_demo(grid, chain, block, args.restricted_bits, args.harden_every, args.seed)
     rows = [
         {"run": "baseline", **baseline._asdict()},
         {"run": "hardened", **hardened._asdict()},
@@ -342,10 +345,7 @@ def _cmd_analyze_bruteforce(args) -> int:
 
 def _cmd_analyze_compression(args) -> int:
     from . import analysis
-    if args.count < 1:
-        raise UsageError(f"--count must be at least 1, got {args.count}")
-    if not 0 <= args.stay <= 1:
-        raise UsageError(f"--stay must be in [0, 1], got {args.stay}")
+    _check_bounds(args)
     if args.biased:
         blocks = analysis.biased_blocks(args.count, args.seed, args.stay)
     else:
@@ -357,8 +357,7 @@ def _cmd_analyze_compression(args) -> int:
 
 def _cmd_analyze_avalanche(args) -> int:
     from . import analysis
-    if args.samples < analysis.MIN_SAMPLES:
-        raise UsageError(f"--samples must be at least {analysis.MIN_SAMPLES}, got {args.samples}")
+    _check_bounds(args)
     rng = random.Random(args.seed)
     if args.key:
         chain = _load_chain(args.key)

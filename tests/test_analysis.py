@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -326,6 +327,18 @@ def test_a_sweep_with_no_keyed_target_decides_every_candidate_by_one_verdict(har
         assert calls == {"replay": 1, "rebuild": min(attempts, harden_every or attempts)}
 
 
+def test_with_no_lead_the_one_verdict_replays_every_occupied_slot(monkeypatch):
+    """With no lead the head is all the occupied term slots, not none of them,
+    so a grid that fails a fixed target is refused by the memo alone."""
+    heads = []
+    real = analysis.replay
+    monkeypatch.setattr(analysis, "replay", lambda slots, *rest: heads.append(list(slots)) or real(slots, *rest))
+    chain, block, grid = _symbol_setup(8, [2, 3, 3, 2, 2, 2, 3, 2, 3, 3, 3, 2, 2, 3, 2])
+    analysis.bruteforce_demo(grid, chain, block, 8, 0, seed=8)
+    tm = read_body(_open_grid(grid, chain)[1])[1]
+    assert heads == [[slot for slot in tm if slot is not None]] and len(heads[0]) == 2
+
+
 @pytest.mark.parametrize("harden_every", [0, 5])
 def test_a_term_column_that_is_not_a_left_prefix_fails_every_candidate(harden_every):
     """A block of three primes leaves its last term slot empty. Swapping
@@ -386,6 +399,22 @@ def test_paired_sweeps_share_one_shuffle(seed, monkeypatch):
     independent = [sweep(0, True), sweep(20, True), sweep(20, True)]
     assert paired == independent
     assert paired[1][1] > 0 and len(paired[1][3]) == paired[1][1]
+
+
+def test_defender_words_are_the_seeds_draws_and_elapsed_is_the_sweeps_own_time(monkeypatch):
+    """At a seed other than 0, the defender reseals with random.Random(seed)'s
+    32-bit words in order, and elapsed_seconds lies within the call's wall time."""
+    chain, block, grid = demo_setup(3)
+    words = []
+    step = analysis.harden_cells
+    monkeypatch.setattr(analysis, "harden_cells", lambda cells, word: words.append(word) or step(cells, word))
+    before = time.perf_counter()
+    report = analysis.bruteforce_demo(grid, chain, block, 8, 5, seed=3)
+    wall = time.perf_counter() - before
+    rng = random.Random(3)
+    assert report.hardenings_triggered >= 2
+    assert words == [rng.getrandbits(32) for _ in range(report.hardenings_triggered)]
+    assert 0 <= report.elapsed_seconds <= wall
 
 
 def test_hardening_trigger_arithmetic():
@@ -453,6 +482,71 @@ def test_negative_harden_every_is_rejected():
 def test_biased_blocks_refuse_a_stay_outside_zero_to_one(stay):
     with pytest.raises(ValueOutOfRange, match="stay"):
         analysis.biased_blocks(1, 0, stay)
+
+
+# Each analyze bound's library message, at the value past each end.
+_PAST_AN_END = [
+    ("restricted_bits", 0, "restricted_bits must be in [1, 24], got 0"),
+    ("restricted_bits", 25, "restricted_bits must be in [1, 24], got 25"),
+    ("harden_every", -1, "harden_every must be at least 0, got -1"),
+    ("count", 0, "count must be at least 1, got 0"),
+    ("stay", -0.1, "stay must be in [0, 1], got -0.1"),
+    ("stay", 1.5, "stay must be in [0, 1], got 1.5"),
+    ("stay", float("nan"), "stay must be in [0, 1], got nan"),
+    ("samples", 99, "samples must be at least 100, got 99"),
+]
+
+
+@pytest.mark.parametrize("name, value, message", _PAST_AN_END)
+def test_check_bounds_refuses_a_value_past_an_end_in_full(name, value, message):
+    with pytest.raises(ValueOutOfRange) as info:
+        analysis.check_bounds(**{name: value})
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("restricted_bits", 1), ("restricted_bits", 24), ("harden_every", 0), ("harden_every", 2**64), ("count", 1),
+     ("stay", 0), ("stay", 1), ("stay", 0.5), ("samples", 100)],
+)
+def test_check_bounds_admits_each_end(name, value):
+    assert analysis.check_bounds(**{name: value}) is None
+
+
+def test_check_bounds_reports_the_first_bad_value_in_the_order_given():
+    assert analysis.check_bounds() is None
+    assert analysis.check_bounds(restricted_bits=24, harden_every=0) is None
+    for values, first in [
+        ({"count": 1, "stay": 2, "samples": 0}, "stay"),
+        ({"samples": 0, "stay": 2}, "samples"),
+        ({"restricted_bits": 0, "harden_every": -1}, "restricted_bits"),
+        ({"harden_every": -1, "restricted_bits": 0}, "harden_every"),
+    ]:
+        with pytest.raises(ValueOutOfRange, match=f"^{first} must be"):
+            analysis.check_bounds(**values)
+
+
+@pytest.mark.parametrize(
+    "run, message",
+    [
+        (lambda grid, chain, block: analysis.bruteforce_demo(grid, chain, block, 0, 1, seed=0), _PAST_AN_END[0][2]),
+        (lambda grid, chain, block: analysis.bruteforce_demo(grid, chain, block, 25, 1, seed=0), _PAST_AN_END[1][2]),
+        (lambda grid, chain, block: analysis.bruteforce_demo(grid, chain, block, 24, -1, seed=0), _PAST_AN_END[2][2]),
+        (lambda grid, chain, block: analysis.bruteforce_demo(grid, chain, block, 25, -1, seed=0), _PAST_AN_END[1][2]),
+        (lambda grid, chain, block: analysis.biased_blocks(3, 0, -0.1), _PAST_AN_END[4][2]),
+        (lambda grid, chain, block: analysis.biased_blocks(3, 0, 1.5), _PAST_AN_END[5][2]),
+        (lambda grid, chain, block: analysis.avalanche_test(99, chain, 0), _PAST_AN_END[7][2]),
+    ],
+)
+def test_analysis_refuses_a_bad_parameter_in_full_before_any_work(monkeypatch, run, message):
+    chain, block, grid = demo_setup(4)
+    calls = []
+    for name in ("_sweep_order", "compress_block", "encrypt_block"):
+        monkeypatch.setattr(analysis, name, lambda *a, name=name, **k: calls.append(name))
+    with pytest.raises(ValueOutOfRange) as info:
+        run(grid, chain, block)
+    assert str(info.value) == message
+    assert calls == []
 
 
 def test_compression_stats_of_no_blocks_is_empty_input():

@@ -237,6 +237,85 @@ def test_analyze_out_of_range_values_are_usage_errors(capsys, argv, message):
     assert message in err
 
 
+def _spy_on_analyze_work(monkeypatch) -> list[str]:
+    """Record every call to the steps an analyze command runs before its
+    first output: key setup, the sweep order, block draws, encrypt and
+    compress. Each spy still does the work."""
+    from cryptompress import analysis
+
+    calls = []
+    for module, name in [
+        (analysis, "_sweep_order"),
+        (analysis, "compress_block"),
+        (analysis, "encrypt_block"),
+        (analysis, "biased_blocks"),
+        (analysis, "random_blocks"),
+        (cli, "encrypt_block"),
+        (cli, "generate_key"),
+        (cli, "_load_chain"),
+    ]:
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, real=real, name=name, **k: calls.append(name) or real(*a, **k))
+    return calls
+
+
+# Each analyze bound's whole stderr line, as the CLI printed it before the
+# bounds moved to analysis.BOUNDS: at the value below and above each end.
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["bruteforce", "--restricted-bits", "0"], "error: --restricted-bits must be in [1, 24], got 0\n"),
+        (["bruteforce", "--restricted-bits", "25"], "error: --restricted-bits must be in [1, 24], got 25\n"),
+        (["bruteforce", "--harden-every", "-1"], "error: --harden-every must be at least 0, got -1\n"),
+        (["compression", "--count", "0"], "error: --count must be at least 1, got 0\n"),
+        (["compression", "--stay", "-1"], "error: --stay must be in [0, 1], got -1.0\n"),
+        (["compression", "--stay", "2"], "error: --stay must be in [0, 1], got 2.0\n"),
+        (["compression", "--stay", "-0.1"], "error: --stay must be in [0, 1], got -0.1\n"),
+        (["compression", "--stay", "1.0000001"], "error: --stay must be in [0, 1], got 1.0000001\n"),
+        (["compression", "--stay", "nan"], "error: --stay must be in [0, 1], got nan\n"),
+        (["avalanche", "--samples", "99"], "error: --samples must be at least 100, got 99\n"),
+        # two bad options: the first in BOUNDS order is reported, whatever the argv order
+        (["bruteforce", "--harden-every", "-1", "--restricted-bits", "0"], "error: --restricted-bits must be in [1, 24], got 0\n"),
+        (["bruteforce", "--restricted-bits", "25", "--harden-every", "-1"], "error: --restricted-bits must be in [1, 24], got 25\n"),
+        (["compression", "--stay", "2", "--count", "0"], "error: --count must be at least 1, got 0\n"),
+        (["compression", "--biased", "--count", "0", "--stay", "2"], "error: --count must be at least 1, got 0\n"),
+        # the bound is checked before the key file is read
+        (["avalanche", "--samples", "99", "--key", "/nonexistent/key.cmk"], "error: --samples must be at least 100, got 99\n"),
+    ],
+)
+def test_analyze_bound_errors_print_the_whole_line_before_any_work(monkeypatch, capsys, argv, line):
+    calls = _spy_on_analyze_work(monkeypatch)
+    assert main(["analyze", *argv]) == 1
+    assert capsys.readouterr() == ("", line)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "argv, field, value",
+    [
+        (["bruteforce", "--restricted-bits", "1"], "keyspace_bits", 1),
+        (["bruteforce", "--restricted-bits", "24"], "keyspace_bits", 24),
+        (["bruteforce", "--restricted-bits", "4", "--harden-every", "0"], "hardenings_triggered", 0),
+        (["compression", "--count", "1"], "blocks", 1),
+        (["compression", "--biased", "--count", "2", "--stay", "0"], "blocks", 2),
+        (["compression", "--biased", "--count", "2", "--stay", "1"], "blocks", 2),
+        (["avalanche", "--samples", "100"], "samples", 100),
+    ],
+)
+def test_analyze_bounds_admit_their_end_values(monkeypatch, capsys, argv, field, value):
+    from cryptompress import analysis
+
+    calls = _spy_on_analyze_work(monkeypatch)
+    if "24" in argv:  # the whole 24-bit order would take minutes: cut it to three candidates
+        monkeypatch.setattr(analysis, "_sweep_order", lambda restricted_bits, seed: calls.append("_sweep_order") or (0, 1, 2))
+    assert main(["analyze", *argv]) == 0
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert err == ""
+    assert report.get("hardened", report)[field] == value
+    assert calls
+
+
 def test_missing_and_malformed_files_exit_3(tmp_path, golden_key_file):
     assert main(["encrypt", "--key", str(tmp_path / "nope"), "--in", str(tmp_path / "x"), "--out", str(tmp_path / "y")]) == 3
     junk = tmp_path / "junk.cmc"
@@ -508,6 +587,42 @@ def test_readme_analyze_synopsis_shows_the_parser_defaults():
             seen[m[1], flag] = (float(value), defaults[flag.replace("-", "_")])
     assert {sub for sub, _ in seen} == {"bruteforce", "compression", "avalanche"}
     assert all(shown == default for shown, default in seen.values()), seen
+
+
+@pytest.mark.parametrize("harden_every", [3, 2000])
+def test_analyze_bruteforce_draws_its_key_and_block_from_its_seed(capsys, harden_every):
+    """Both sweeps of `analyze bruteforce --seed 5` attack the key and demo
+    block that random.Random(5) draws, in that seed's order; with no
+    hardening inside the 10-bit keyspace the hardened sweep finds the key too."""
+    from cryptompress import analysis
+
+    rng = random.Random(5)
+    chain = cm.KeyChain(base=cm.keyschedule.generate_key(rng))
+    block = analysis.demo_block(rng)
+    grid = cipher.encrypt_block(block, chain)
+    argv = ["analyze", "bruteforce", "--restricted-bits", "10", "--harden-every", str(harden_every), "--seed", "5"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    for run, every in (("baseline", 0), ("hardened", harden_every)):
+        want = analysis.bruteforce_demo(grid, chain, block, 10, every, 5)._asdict()
+        assert report[run] == {**want, "elapsed_seconds": report[run]["elapsed_seconds"]}
+    assert report["baseline"]["success"] and report["baseline"]["attempts_made"] > 3
+    assert report["hardened"]["success"] == (harden_every == 2000)
+
+
+def test_readme_analyze_ranges_are_the_bounds_table():
+    """The README's `# analyze ranges` comment under the synopsis states
+    every range of analysis.BOUNDS, each under its option's --flag."""
+    from math import inf
+
+    from cryptompress import analysis
+
+    text = README.read_text(encoding="utf-8")
+    comment = text[text.index("# analyze ranges") :].split("```")[0]
+    stated = {}
+    for flag, low, high, least in re.findall(r"--([\w-]+) (?:(\d+)\.\.(\d+)|>= (\d+))", comment):
+        stated[flag.replace("-", "_")] = (int(low), int(high)) if high else (int(least), inf)
+    assert stated == analysis.BOUNDS
 
 
 def _resolve(dotted: str):
